@@ -21,22 +21,19 @@ namespace {
  * Predicted completion of @p a on one replica, from its live view: the
  * earliest-free executor plus the Section-4.2 execution estimate, the
  * switch when the classifier is neither queued nor resident, and the
- * detect child's execution when the component chains one. The
- * cluster-admission twin of ServingEngine::predictCompletion, using
- * the replica's *profiled* matrix since the coordinator has it.
+ * detect child's execution when the component chains one, priced on
+ * @p proc (ReplicaCapabilities::estimateProc). The cluster-admission
+ * twin of ServingEngine::predictCompletion, using the replica's
+ * *profiled* matrix since the coordinator has it.
  */
 Time
-predictReplicaCompletion(const ReplicaView &view,
+predictReplicaCompletion(const ReplicaView &view, ProcKind proc,
                          const ReplicaLoadView &live,
                          const CoEModel &model, const ImageArrival &a)
 {
     const ComponentType &comp = model.component(a.component);
     const ExpertId expert = comp.classifier;
     const ArchId arch = model.expert(expert).arch;
-    bool hasGpu = false;
-    for (const ExecutorConfig &e : view.cfg->executors)
-        hasGpu = hasGpu || e.kind == ProcKind::GPU;
-    const ProcKind proc = hasGpu ? ProcKind::GPU : ProcKind::CPU;
 
     const bool joins = live.queued(expert);
     Time add = DependencyAwareScheduler::execEstimate(
@@ -606,6 +603,8 @@ ClusterEngine::runCoordinated(const Trace &trace,
     }
 
     const std::vector<ReplicaView> views = makeReplicaViews();
+    const CoEModel &model = cfg_.replicas.front().ctx->model();
+    const ReplicaCapabilities caps(views, model);
     std::unique_ptr<ReplicaRouter> router;
     if (liveRouting) {
         router = makeRouter(cfg_.routing,
@@ -647,16 +646,15 @@ ClusterEngine::runCoordinated(const Trace &trace,
         // active replica can chain-serve. Activate the first capable
         // quiesced replica for each uncovered component (same rule
         // the quiesce path enforces via its coverage guard).
-        const CoEModel &m = cfg_.replicas.front().ctx->model();
-        for (std::size_t c = 0; c < m.numComponents(); ++c) {
+        for (std::size_t c = 0; c < model.numComponents(); ++c) {
             const auto comp = static_cast<ComponentId>(c);
             bool covered = false;
             for (std::size_t i = 0; i < n && !covered; ++i)
-                covered = active[i] && chainCapable(views[i], m, comp);
+                covered = active[i] && caps.chainServes(i, comp);
             if (covered)
                 continue;
             for (std::size_t i = 0; i < n; ++i) {
-                if (!active[i] && chainCapable(views[i], m, comp)) {
+                if (!active[i] && caps.chainServes(i, comp)) {
                     active[i] = 1;
                     activeCount += 1;
                     break;
@@ -729,10 +727,12 @@ ClusterEngine::runCoordinated(const Trace &trace,
     };
 
     std::vector<ReplicaLoadView> live(n);
-    // Snapshots are rebuilt lazily: a replica's observable state only
-    // changes when it executes events or accepts a request, so clean
-    // views are reused across arrivals (the clock-only staleness of
-    // `now` is absorbed by the routers' max(arrival.time, ...)).
+    // Snapshots are refreshed lazily: a replica's observable state
+    // only changes when it executes events or accepts a request, so
+    // clean views are reused across arrivals (the clock-only staleness
+    // of `now` is absorbed by the routers' max(arrival.time, ...)). A
+    // refresh costs O(executors + experts): the engine keeps expert
+    // membership incrementally and the view copies its flag array.
     std::vector<char> dirty(n, 1);
     const auto refreshViews = [&]() {
         for (std::size_t i = 0; i < n; ++i) {
@@ -765,16 +765,14 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // classify request brings its whole chain, so the thief must also
     // serve the detect child it may spawn. The autoscaler's
     // quiesce-evacuation and crash re-homing reuse the same filters.
-    const CoEModel &model = cfg_.replicas.front().ctx->model();
     std::vector<RequestQueue::StealFilter> canServe(n);
     if (cfg_.workStealing.enabled || as.enabled || opts.faults.any() ||
         migrationOn) {
         for (std::size_t i = 0; i < n; ++i) {
-            canServe[i] = [&model,
-                           view = views[i]](const Request &req) {
+            canServe[i] = [&model, &caps, i](const Request &req) {
                 if (req.stage == Stage::Classify)
-                    return chainCapable(view, model, req.component);
-                return capable(view, model.expert(req.expert).arch);
+                    return caps.chainServes(i, req.component);
+                return caps.serves(i, model.expert(req.expert).arch);
             };
         }
     }
@@ -1019,8 +1017,8 @@ ClusterEngine::runCoordinated(const Trace &trace,
             bool covered = false;
             for (std::size_t i = 0; i < n && !covered; ++i) {
                 covered = i != excluding && active[i] &&
-                          chainCapable(views[i], model,
-                                       static_cast<ComponentId>(c));
+                          caps.chainServes(i,
+                                           static_cast<ComponentId>(c));
             }
             if (!covered)
                 return false;
@@ -1345,10 +1343,11 @@ ClusterEngine::runCoordinated(const Trace &trace,
             if (crashed[i])
                 continue;
             // queuedRequestCount() + sampleHitCounters(), not
-            // fillLoadView() + appendTierStats(): a full load view
-            // sorts resident/queued expert sets and TierStats rows
-            // copy tier name strings on every call, which would
-            // dominate the <5% tracing overhead budget.
+            // fillLoadView() + appendTierStats(): a load view copies
+            // per-executor loads and the expert membership flags the
+            // sample never reads, and TierStats rows copy tier name
+            // strings on every call — work the <5% tracing overhead
+            // budget has no room for.
             row.queueDepth += engines[i]->queuedRequestCount();
             engines[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
                                           cpuMisses);
@@ -1456,13 +1455,12 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 refreshViews();
                 Time best = kTimeNever;
                 for (std::size_t i = 0; i < n; ++i) {
-                    if (!active[i] ||
-                        !chainCapable(views[i], model, a.component))
+                    if (!active[i] || !caps.chainServes(i, a.component))
                         continue;
                     best = std::min(
-                        best, predictReplicaCompletion(views[i],
-                                                       live[i], model,
-                                                       a));
+                        best, predictReplicaCompletion(
+                                  views[i], caps.estimateProc(i),
+                                  live[i], model, a));
                 }
                 const AdmissionVerdict verdict = admission.assess(
                     a.cls, a.time, a.deadline, best);
@@ -1520,8 +1518,7 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 // which case the image is genuinely lost.
                 for (std::size_t j = 0; j < n; ++j) {
                     const std::size_t i = (r + j) % n;
-                    if (active[i] &&
-                        chainCapable(views[i], model, a.component)) {
+                    if (active[i] && caps.chainServes(i, a.component)) {
                         r = i;
                         break;
                     }

@@ -21,6 +21,28 @@ toString(RoutingPolicy policy)
     return "?";
 }
 
+ReplicaCapabilities::ReplicaCapabilities(
+    const std::vector<ReplicaView> &replicas, const CoEModel &model)
+    : numComponents_(model.numComponents())
+{
+    arch_.reserve(replicas.size() * static_cast<std::size_t>(kNumArchIds));
+    chain_.reserve(replicas.size() * numComponents_);
+    for (const ReplicaView &view : replicas) {
+        for (int a = 0; a < kNumArchIds; ++a)
+            arch_.push_back(capable(view, static_cast<ArchId>(a)) ? 1 : 0);
+        for (std::size_t c = 0; c < numComponents_; ++c) {
+            chain_.push_back(
+                chainCapable(view, model, static_cast<ComponentId>(c))
+                    ? 1
+                    : 0);
+        }
+        bool hasGpu = false;
+        for (const ExecutorConfig &e : view.cfg->executors)
+            hasGpu = hasGpu || e.kind == ProcKind::GPU;
+        proc_.push_back(hasGpu ? ProcKind::GPU : ProcKind::CPU);
+    }
+}
+
 namespace {
 
 /** splitmix64 finalizer: spreads dense expert ids across replicas. */
@@ -40,13 +62,12 @@ mix64(std::uint64_t x)
  * chain may continue on.
  */
 std::size_t
-firstChainCapable(const std::vector<ReplicaView> &replicas,
-                  const CoEModel &model, ComponentId component,
-                  std::size_t start)
+firstChainCapable(const ReplicaCapabilities &caps, std::size_t replicas,
+                  ComponentId component, std::size_t start)
 {
-    for (std::size_t j = 0; j < replicas.size(); ++j) {
-        const std::size_t i = (start + j) % replicas.size();
-        if (chainCapable(replicas[i], model, component))
+    for (std::size_t j = 0; j < replicas; ++j) {
+        const std::size_t i = (start + j) % replicas;
+        if (caps.chainServes(i, component))
             return i;
     }
     panic("no replica can serve component ",
@@ -57,9 +78,9 @@ class RoundRobinRouter : public ReplicaRouter
 {
   public:
     RoundRobinRouter(const CoEModel &model,
-                     std::vector<ReplicaView> replicas)
-        : model_(model), replicas_(std::move(replicas)),
-          last_(replicas_.size() - 1) // first arrival starts at 0
+                     const std::vector<ReplicaView> &replicas)
+        : caps_(replicas, model), numReplicas_(replicas.size()),
+          last_(numReplicas_ - 1) // first arrival starts at 0
     {}
 
     const char *name() const override { return "round-robin"; }
@@ -72,14 +93,14 @@ class RoundRobinRouter : public ReplicaRouter
         // turn to a fixed successor (which would double that
         // replica's share). Identical to plain round-robin on a
         // fully-capable cluster.
-        last_ = firstChainCapable(replicas_, model_, arrival.component,
-                                  (last_ + 1) % replicas_.size());
+        last_ = firstChainCapable(caps_, numReplicas_, arrival.component,
+                                  (last_ + 1) % numReplicas_);
         return last_;
     }
 
   private:
-    const CoEModel &model_;
-    std::vector<ReplicaView> replicas_;
+    ReplicaCapabilities caps_;
+    std::size_t numReplicas_;
     /** Replica chosen for the previous arrival (wheel position). */
     std::size_t last_;
 };
@@ -88,8 +109,9 @@ class ExpertAffinityRouter : public ReplicaRouter
 {
   public:
     ExpertAffinityRouter(const CoEModel &model,
-                         std::vector<ReplicaView> replicas)
-        : model_(model), replicas_(std::move(replicas))
+                         const std::vector<ReplicaView> &replicas)
+        : model_(model), caps_(replicas, model),
+          numReplicas_(replicas.size())
     {}
 
     const char *name() const override { return "expert-affinity"; }
@@ -120,10 +142,10 @@ class ExpertAffinityRouter : public ReplicaRouter
         const std::size_t hashed = capableFrom(home(e), arrival.component);
         if (views[hashed].acceptingWork && views[hashed].resident(e))
             return hashed;
-        for (std::size_t j = 1; j < replicas_.size(); ++j) {
-            const std::size_t i = (hashed + j) % replicas_.size();
+        for (std::size_t j = 1; j < numReplicas_; ++j) {
+            const std::size_t i = (hashed + j) % numReplicas_;
             if (views[i].acceptingWork &&
-                chainCapable(replicas_[i], model_, arrival.component) &&
+                caps_.chainServes(i, arrival.component) &&
                 views[i].resident(e))
                 return i;
         }
@@ -135,17 +157,18 @@ class ExpertAffinityRouter : public ReplicaRouter
     home(ExpertId e) const
     {
         return static_cast<std::size_t>(
-            mix64(static_cast<std::uint64_t>(e)) % replicas_.size());
+            mix64(static_cast<std::uint64_t>(e)) % numReplicas_);
     }
 
     std::size_t
     capableFrom(std::size_t start, ComponentId component) const
     {
-        return firstChainCapable(replicas_, model_, component, start);
+        return firstChainCapable(caps_, numReplicas_, component, start);
     }
 
     const CoEModel &model_;
-    std::vector<ReplicaView> replicas_;
+    ReplicaCapabilities caps_;
+    std::size_t numReplicas_;
 };
 
 /**
@@ -162,7 +185,8 @@ class LeastLoadedRouter : public ReplicaRouter
   public:
     LeastLoadedRouter(const CoEModel &model,
                       std::vector<ReplicaView> replicas)
-        : model_(model), replicas_(std::move(replicas))
+        : model_(model), replicas_(std::move(replicas)),
+          caps_(replicas_, model_)
     {
         for (const ReplicaView &view : replicas_) {
             // Footprints are per-device: size each replica's residency
@@ -176,11 +200,8 @@ class LeastLoadedRouter : public ReplicaRouter
 
             State st;
             std::int64_t poolBytes = 0;
-            for (const ExecutorConfig &e : view.cfg->executors) {
+            for (const ExecutorConfig &e : view.cfg->executors)
                 poolBytes += e.poolBytes;
-                if (e.kind == ProcKind::GPU)
-                    st.hasGpu = true;
-            }
             st.parallelism =
                 std::max<std::size_t>(1, view.cfg->executors.size());
             st.capacity = std::max<std::size_t>(
@@ -204,8 +225,7 @@ class LeastLoadedRouter : public ReplicaRouter
         Time bestFinish = kTimeNever;
         Time bestAdd = kTimeNever;
         for (std::size_t i = 0; i < replicas_.size(); ++i) {
-            if (!chainCapable(replicas_[i], model_,
-                              arrival.component))
+            if (!caps_.chainServes(i, arrival.component))
                 continue;
             const Time add = additionalLatency(i, expert, arch);
             const Time finish =
@@ -254,13 +274,11 @@ class LeastLoadedRouter : public ReplicaRouter
             // finishes entry stays kTimeNever, which also disarms the
             // affinity hysteresis below while a home is drained.
             if (!views[i].acceptingWork ||
-                !chainCapable(replicas_[i], model_,
-                              arrival.component))
+                !caps_.chainServes(i, arrival.component))
                 continue;
             const ReplicaView &view = replicas_[i];
             const ReplicaLoadView &live = views[i];
-            const ProcKind proc =
-                states_[i].hasGpu ? ProcKind::GPU : ProcKind::CPU;
+            const ProcKind proc = caps_.estimateProc(i);
             // Section 4.2 at replica granularity, with *actual* state:
             // joining an already-queued same-expert group costs K and
             // no switch; a resident expert skips the switch; anything
@@ -312,8 +330,7 @@ class LeastLoadedRouter : public ReplicaRouter
             home_.resize(static_cast<std::size_t>(expert) + 1, SIZE_MAX);
         const std::size_t h = home_[expert];
         if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever) {
-            const ProcKind proc =
-                states_[h].hasGpu ? ProcKind::GPU : ProcKind::CPU;
+            const ProcKind proc = caps_.estimateProc(h);
             if (finishes[h] <= bestFinish + switchCost(h, arch, proc,
                                                        views[h],
                                                        arrival.time))
@@ -332,7 +349,6 @@ class LeastLoadedRouter : public ReplicaRouter
         std::vector<ExpertId> resident;
         std::size_t capacity = 1;
         std::size_t parallelism = 1;
-        bool hasGpu = false;
     };
 
     /**
@@ -364,8 +380,7 @@ class LeastLoadedRouter : public ReplicaRouter
     {
         const ReplicaView &view = replicas_[i];
         const State &st = states_[i];
-        const ProcKind proc =
-            st.hasGpu ? ProcKind::GPU : ProcKind::CPU;
+        const ProcKind proc = caps_.estimateProc(i);
 
         const bool resident =
             std::find(st.resident.begin(), st.resident.end(), expert) !=
@@ -399,6 +414,7 @@ class LeastLoadedRouter : public ReplicaRouter
 
     const CoEModel &model_;
     std::vector<ReplicaView> replicas_;
+    ReplicaCapabilities caps_;
     std::vector<State> states_;
     /** Live mode: each expert's current home replica (SIZE_MAX: none). */
     std::vector<std::size_t> home_;
@@ -419,14 +435,12 @@ makeRouter(RoutingPolicy policy, const CoEModel &model,
 
     switch (policy) {
     case RoutingPolicy::RoundRobin:
-        return std::make_unique<RoundRobinRouter>(model,
-                                                  std::move(replicas));
+        return std::make_unique<RoundRobinRouter>(model, replicas);
     case RoutingPolicy::LeastLoaded:
         return std::make_unique<LeastLoadedRouter>(model,
                                                    std::move(replicas));
     case RoutingPolicy::ExpertAffinity:
-        return std::make_unique<ExpertAffinityRouter>(model,
-                                                      std::move(replicas));
+        return std::make_unique<ExpertAffinityRouter>(model, replicas);
     }
     panic("unknown routing policy");
 }

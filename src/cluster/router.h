@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/coserve.h"
+#include "util/logging.h"
 #include "workload/trace.h"
 
 namespace coserve {
@@ -121,6 +122,57 @@ chainCapable(const ReplicaView &view, const CoEModel &model,
     return comp.detector == kNoExpert ||
            capable(view, model.expert(comp.detector).arch);
 }
+
+/**
+ * The static capability of a fixed replica set, computed once when a
+ * router or coordinator is built: the capable() and chainCapable()
+ * verdicts for every (replica, architecture) and (replica, component)
+ * pair, and the processor kind each replica's replica-level estimates
+ * price work on. Per-arrival callers index these tables instead of
+ * re-walking executor lists and perf matrices.
+ */
+class ReplicaCapabilities
+{
+  public:
+    ReplicaCapabilities(const std::vector<ReplicaView> &replicas,
+                        const CoEModel &model);
+
+    /** @return capable(replicas[@p replica], @p arch). */
+    bool
+    serves(std::size_t replica, ArchId arch) const
+    {
+        return arch_[replica * static_cast<std::size_t>(kNumArchIds) +
+                     static_cast<std::size_t>(arch)] != 0;
+    }
+
+    /** @return chainCapable(replicas[@p replica], model, @p component). */
+    bool
+    chainServes(std::size_t replica, ComponentId component) const
+    {
+        COSERVE_CHECK(component >= 0 &&
+                          static_cast<std::size_t>(component) <
+                              numComponents_,
+                      "component id out of range: ", component);
+        return chain_[replica * numComponents_ +
+                      static_cast<std::size_t>(component)] != 0;
+    }
+
+    /**
+     * Processor kind replica-level estimates use for @p replica: GPU
+     * when it runs any GPU executor, else CPU.
+     */
+    ProcKind
+    estimateProc(std::size_t replica) const
+    {
+        return proc_[replica];
+    }
+
+  private:
+    std::size_t numComponents_;
+    std::vector<char> arch_;
+    std::vector<char> chain_;
+    std::vector<ProcKind> proc_;
+};
 
 /**
  * Replica-level additional-latency estimate used by the least-loaded

@@ -9,22 +9,22 @@ PerfMatrix::set(ArchId arch, ProcKind proc, const PerfEntry &entry)
 {
     COSERVE_CHECK(entry.k > 0, "perf entry needs positive K");
     COSERVE_CHECK(entry.maxBatch >= 1, "perf entry needs maxBatch >= 1");
-    table_[{arch, proc}] = entry;
+    COSERVE_CHECK(inRange(arch, proc), "perf entry for unknown arch ",
+                  static_cast<int>(arch), " on ", toString(proc));
+    Slot &s = table_[static_cast<std::size_t>(arch)]
+                    [static_cast<std::size_t>(proc)];
+    if (!s.present)
+        size_ += 1;
+    s.entry = entry;
+    s.present = true;
 }
 
 const PerfEntry &
 PerfMatrix::at(ArchId arch, ProcKind proc) const
 {
-    auto it = table_.find({arch, proc});
-    COSERVE_CHECK(it != table_.end(), "no perf entry for arch ",
+    COSERVE_CHECK(has(arch, proc), "no perf entry for arch ",
                   static_cast<int>(arch), " on ", toString(proc));
-    return it->second;
-}
-
-bool
-PerfMatrix::has(ArchId arch, ProcKind proc) const
-{
-    return table_.count({arch, proc}) > 0;
+    return slot(arch, proc).entry;
 }
 
 } // namespace coserve

@@ -13,8 +13,8 @@
 #ifndef COSERVE_CORE_PERF_MATRIX_H
 #define COSERVE_CORE_PERF_MATRIX_H
 
+#include <array>
 #include <cstdint>
-#include <map>
 
 #include "hw/device.h"
 #include "model/architecture.h"
@@ -41,7 +41,11 @@ struct PerfEntry
     double r2 = 0.0;
 };
 
-/** Profiled performance for all architectures on one device. */
+/**
+ * Profiled performance for all architectures on one device: a dense
+ * [ArchId][ProcKind] table with presence flags — the schedulers and
+ * routers probe it on every dispatch and every routed arrival.
+ */
 class PerfMatrix
 {
   public:
@@ -52,13 +56,44 @@ class PerfMatrix
     const PerfEntry &at(ArchId arch, ProcKind proc) const;
 
     /** @return true when (arch, proc) was profiled. */
-    bool has(ArchId arch, ProcKind proc) const;
+    bool
+    has(ArchId arch, ProcKind proc) const
+    {
+        return inRange(arch, proc) && slot(arch, proc).present;
+    }
 
     /** @return number of profiled pairs. */
-    std::size_t size() const { return table_.size(); }
+    std::size_t size() const { return size_; }
 
   private:
-    std::map<std::pair<ArchId, ProcKind>, PerfEntry> table_;
+    /** Number of ProcKind values. */
+    static constexpr std::size_t kNumProcKinds = 2;
+
+    struct Slot
+    {
+        PerfEntry entry;
+        bool present = false;
+    };
+
+    /** @return true when (arch, proc) indexes the table. */
+    static bool
+    inRange(ArchId arch, ProcKind proc)
+    {
+        // Negative enumerators wrap past the bound as well.
+        return static_cast<std::size_t>(arch) <
+                   static_cast<std::size_t>(kNumArchIds) &&
+               static_cast<std::size_t>(proc) < kNumProcKinds;
+    }
+
+    const Slot &
+    slot(ArchId arch, ProcKind proc) const
+    {
+        return table_[static_cast<std::size_t>(arch)]
+                     [static_cast<std::size_t>(proc)];
+    }
+
+    std::array<std::array<Slot, kNumProcKinds>, kNumArchIds> table_{};
+    std::size_t size_ = 0;
 };
 
 } // namespace coserve

@@ -23,6 +23,9 @@ enum class ArchId { ResNet101 = 0, YoloV5m = 1, YoloV5l = 2, Custom = 3 };
 /** Number of built-in architectures (excluding Custom). */
 inline constexpr int kNumBuiltinArchs = 3;
 
+/** Number of ArchId values (the built-ins plus Custom): dense tables. */
+inline constexpr int kNumArchIds = kNumBuiltinArchs + 1;
+
 /** Static description of an expert architecture. */
 struct ArchSpec
 {

@@ -68,13 +68,16 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
         gpuPool_ = std::make_unique<ModelPool>("gpu.pool", gpuPoolBytes,
                                                TierLevel::Gpu);
         gpuPool_->linkBelow(cpuTier_);
+        gpuPool_->trackPresence(&presence_);
     }
     if (cpuPoolBytes > 0) {
         // CPU executor pool: same DRAM as the cache tier; evictions
         // drop straight to disk (the copy is already the DRAM copy).
         cpuPool_ = std::make_unique<ModelPool>("cpu.pool", cpuPoolBytes,
                                                TierLevel::CpuDram);
+        cpuPool_->trackPresence(&presence_);
     }
+    presence_.reserve(model_.numExperts());
 
     // Memory-pressure slowdown of GPU loads: fraction of GPU memory
     // held by resident experts vs. batch workspace.
@@ -102,7 +105,8 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
         ModelPool &pool =
             ec.kind == ProcKind::GPU ? *gpuPool_ : *cpuPool_;
         executors_.push_back(std::make_unique<Executor>(
-            *this, static_cast<int>(i), std::move(name), ec, pool));
+            *this, static_cast<int>(i), std::move(name), ec, pool,
+            &presence_));
     }
 
     // Live metrics handles: registered once here, incremented
@@ -720,20 +724,6 @@ ServingEngine::appendTierStats(std::vector<TierStats> &out) const
 
 // ------------------------------ cluster-level online coordination API
 
-bool
-ReplicaLoadView::resident(ExpertId e) const
-{
-    return std::binary_search(residentExperts.begin(),
-                              residentExperts.end(), e);
-}
-
-bool
-ReplicaLoadView::queued(ExpertId e) const
-{
-    return std::binary_search(queuedExperts.begin(),
-                              queuedExperts.end(), e);
-}
-
 void
 ServingEngine::beginOnline(RequestId idBase, RequestId idStride)
 {
@@ -765,7 +755,6 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
     out.queueDepth = 0;
     out.backlog = 0;
     out.executors.clear();
-    out.queuedExperts.clear();
     for (const auto &exec : executors_) {
         out.queueDepth += exec->queue().size();
         // Parked checkpoints are real backlog too: their remaining
@@ -774,25 +763,8 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
         out.backlog += exec->queue().pendingWork() + exec->parkedWork();
         out.executors.push_back(
             {exec->busyUntil(), exec->queue().pendingWork()});
-        exec->queue().appendQueuedExperts(out.queuedExperts);
     }
-    std::sort(out.queuedExperts.begin(), out.queuedExperts.end());
-    out.queuedExperts.erase(std::unique(out.queuedExperts.begin(),
-                                        out.queuedExperts.end()),
-                            out.queuedExperts.end());
-    out.residentExperts.clear();
-    for (const ModelPool *pool : {gpuPool_.get(), cpuPool_.get()}) {
-        if (pool == nullptr)
-            continue;
-        // detlint:allow(unordered-iter) snapshot is sorted below before anything order-sensitive reads it
-        for (const auto &[id, entry] : pool->entries()) {
-            if (!entry.loading)
-                out.residentExperts.push_back(id);
-        }
-    }
-    // Pool iteration order is unspecified (hash map); sort so the view
-    // is deterministic and resident() can binary-search.
-    std::sort(out.residentExperts.begin(), out.residentExperts.end());
+    out.expertFlags = presence_.flags();
 }
 
 std::int64_t

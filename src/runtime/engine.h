@@ -11,6 +11,7 @@
 #ifndef COSERVE_RUNTIME_ENGINE_H
 #define COSERVE_RUNTIME_ENGINE_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "preempt/checkpoint_model.h"
 #include "preempt/preempt.h"
 #include "runtime/executor.h"
+#include "runtime/expert_presence.h"
 #include "runtime/memory_tier.h"
 #include "runtime/policies.h"
 #include "sim/channel.h"
@@ -84,23 +86,39 @@ struct ReplicaLoadView
      */
     std::vector<ExecutorLoad> executors;
     /**
-     * Experts currently resident in the replica's executor pools
-     * (sorted, loading entries excluded): the actual resident set the
-     * offline routers only approximate with an LRU guess.
+     * Per-expert membership, indexed by ExpertId (ExpertPresence::
+     * kResident | kQueued bits; ids past the end are in neither set):
+     *  - resident: settled in one of the replica's executor pools
+     *    (loading entries excluded) — the actual resident set the
+     *    offline routers only approximate with an LRU guess;
+     *  - queued: demanded by at least one queued request. A new
+     *    same-expert request joins the group and pays no switch — the
+     *    paper's Section 4.2 condition, lifted to replica granularity.
      */
-    std::vector<ExpertId> residentExperts;
-    /**
-     * Experts demanded by at least one queued request (sorted). A new
-     * same-expert request joins the group and pays no switch — the
-     * paper's Section 4.2 condition, lifted to replica granularity.
-     */
-    std::vector<ExpertId> queuedExperts;
+    std::vector<std::uint8_t> expertFlags;
 
     /** @return true when @p e is resident in an executor pool. */
-    bool resident(ExpertId e) const;
+    bool
+    resident(ExpertId e) const
+    {
+        return (flagsOf(e) & ExpertPresence::kResident) != 0;
+    }
 
     /** @return true when a queued request already demands @p e. */
-    bool queued(ExpertId e) const;
+    bool
+    queued(ExpertId e) const
+    {
+        return (flagsOf(e) & ExpertPresence::kQueued) != 0;
+    }
+
+  private:
+    std::uint8_t
+    flagsOf(ExpertId e) const
+    {
+        // A negative id wraps past every size: in neither set.
+        const auto i = static_cast<std::size_t>(e);
+        return i < expertFlags.size() ? expertFlags[i] : 0;
+    }
 };
 
 /** Single-use serving system instance. */
@@ -179,14 +197,18 @@ class ServingEngine
         return eq_.executed() - before;
     }
 
-    /** Fill @p out with a live load snapshot (buffers reused). */
+    /**
+     * Fill @p out with a live load snapshot (buffers reused): the
+     * scalars, one ExecutorLoad per executor and a copy of the
+     * incrementally maintained expert membership flags — O(executors
+     * + experts) with no pool or queue walk.
+     */
     void fillLoadView(ReplicaLoadView &out) const;
 
     /**
      * Total requests queued across this engine's executors — the
-     * epoch sampler's cheap load probe. Unlike fillLoadView() this
-     * does no sorting and no pool walks, so observing a replica
-     * costs O(executors) per sample.
+     * epoch sampler's cheap load probe: O(executors) per sample, with
+     * no membership copy.
      */
     std::int64_t queuedRequestCount() const;
 
@@ -500,6 +522,12 @@ class ServingEngine
      * cluster's shared tier per EngineConfig::externalCpuTier), which
      * links down to the disk tier: evictions demote along the links.
      */
+    /**
+     * Settled residency across gpuPool_/cpuPool_ and queued demand
+     * across every executor queue, kept current by the pools and
+     * queues themselves (declared before them, so it outlives them).
+     */
+    ExpertPresence presence_;
     std::unique_ptr<ModelPool> gpuPool_;
     std::unique_ptr<ModelPool> cpuPool_;
     std::vector<std::unique_ptr<Executor>> executors_;

@@ -24,11 +24,13 @@ batchPriority(const std::vector<Request> &batch)
 } // namespace
 
 Executor::Executor(ServingEngine &engine, int index, std::string name,
-                   const ExecutorConfig &cfg, ModelPool &pool)
+                   const ExecutorConfig &cfg, ModelPool &pool,
+                   ExpertPresence *presence)
     : engine_(engine), index_(index), name_(std::move(name)), cfg_(cfg),
       pool_(pool)
 {
     stats_.name = name_;
+    queue_.trackPresence(presence);
 }
 
 void

@@ -44,9 +44,12 @@ class Executor
      * @param pool model pool this executor draws experts from. Pools
      *        are shared between executors of the same processor kind
      *        (one GPU memory, one CPU DRAM); must outlive the executor.
+     * @param presence engine-wide expert index the executor's queue
+     *        reports queued demand to (not owned; may be null).
      */
     Executor(ServingEngine &engine, int index, std::string name,
-             const ExecutorConfig &cfg, ModelPool &pool);
+             const ExecutorConfig &cfg, ModelPool &pool,
+             ExpertPresence *presence);
 
     /** Insert a request (grouped or FIFO) and kick the loop. */
     void enqueue(const Request &req, bool grouped, Time estimate);

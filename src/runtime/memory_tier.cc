@@ -1,5 +1,6 @@
 #include "runtime/memory_tier.h"
 
+#include "runtime/expert_presence.h"
 #include "runtime/policies.h"
 #include "util/logging.h"
 
@@ -74,6 +75,8 @@ MemoryTier::finishLoad(ExpertId e, Time now)
     entry.lastUse = now;
     COSERVE_CHECK(entry.pins >= 1, "load pin lost");
     entry.pins -= 1;
+    if (presence_ != nullptr)
+        presence_->addResident(e);
 }
 
 void
@@ -91,6 +94,8 @@ MemoryTier::insertResident(ExpertId e, std::int64_t bytes,
     entries_.emplace(e, entry);
     used_ += bytes;
     counters_.insertions += 1;
+    if (presence_ != nullptr)
+        presence_->addResident(e);
 }
 
 void
@@ -102,6 +107,8 @@ MemoryTier::erase(ExpertId e)
     COSERVE_CHECK(!it->second.loading, "evicting in-flight expert ", e);
     used_ -= it->second.bytes;
     entries_.erase(it);
+    if (presence_ != nullptr)
+        presence_->removeResident(e);
 }
 
 bool
@@ -207,6 +214,8 @@ MemoryTier::insert(ExpertId e, std::int64_t bytes, Time now)
     entries_.emplace(e, entry);
     used_ += bytes;
     counters_.insertions += 1;
+    if (presence_ != nullptr)
+        presence_->addResident(e);
     return true;
 }
 

@@ -44,6 +44,7 @@
 namespace coserve {
 
 class EvictionPolicy; // runtime/policies.h
+class ExpertPresence; // runtime/expert_presence.h
 
 /** Storage level of a tier, top to bottom. */
 enum class TierLevel
@@ -189,6 +190,13 @@ class MemoryTier : public TierBelow
     TierBelow *below() const { return below_; }
 
     /**
+     * Report every change of settled residency (an entry turning
+     * resident, or a resident entry leaving) to @p presence (not
+     * owned; may be null). Loading entries are not resident.
+     */
+    void trackPresence(ExpertPresence *presence) { presence_ = presence; }
+
+    /**
      * Install the policy used for cache-style self-eviction (insert /
      * admit making room). Null restores the built-in LRU scan. The
      * EvictionContext handed to a self-eviction policy carries only
@@ -331,6 +339,7 @@ class MemoryTier : public TierBelow
     std::int64_t used_ = 0;
     std::unordered_map<ExpertId, TierEntry> entries_;
     TierBelow *below_ = nullptr;
+    ExpertPresence *presence_ = nullptr;
     std::unique_ptr<EvictionPolicy> policy_;
     TierCounters counters_;
 };

@@ -1,5 +1,6 @@
 #include "runtime/queue.h"
 
+#include "runtime/expert_presence.h"
 #include "util/logging.h"
 
 namespace coserve {
@@ -405,6 +406,8 @@ RequestQueue::noteInserted(NodeIdx node)
     // after the previous last occurrence.
     info.last = node;
     info.count += 1;
+    if (presence_ != nullptr)
+        presence_->addQueued(nodes_[node].entry.req.expert);
     pendingWork_ += nodes_[node].entry.estimate;
     if (sloUrgent(nodes_[node].entry.req))
         sloUrgent_ += 1;
@@ -424,6 +427,8 @@ RequestQueue::noteRemoved(NodeIdx node)
                       "group emptied but last node differs");
         info.last = kNil;
     }
+    if (presence_ != nullptr)
+        presence_->removeQueued(e);
     pendingWork_ -= nodes_[node].entry.estimate;
     if (sloUrgent(nodes_[node].entry.req)) {
         COSERVE_CHECK(sloUrgent_ > 0, "urgent count underflow");

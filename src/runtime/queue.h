@@ -40,6 +40,8 @@
 
 namespace coserve {
 
+class ExpertPresence; // runtime/expert_presence.h
+
 /** Ordered queue of pending requests for one executor. */
 class RequestQueue
 {
@@ -170,18 +172,11 @@ class RequestQueue
     Time pendingWork() const { return pendingWork_; }
 
     /**
-     * Append every expert with at least one queued request to @p out
-     * (may contain duplicates across calls; callers dedupe). Used to
-     * snapshot live demand for cluster-level routing.
+     * Report every queued request's arrival and departure — push,
+     * pop, steal and drain alike — to @p presence (not owned; may be
+     * null), keyed by its expert.
      */
-    void
-    appendQueuedExperts(std::vector<ExpertId> &out) const
-    {
-        for (std::size_t e = 0; e < groups_.size(); ++e) {
-            if (groups_[e].count > 0)
-                out.push_back(static_cast<ExpertId>(e));
-        }
-    }
+    void trackPresence(ExpertPresence *presence) { presence_ = presence; }
 
     /**
      * Crash support: remove *every* queued request (head included,
@@ -232,6 +227,7 @@ class RequestQueue
     NodeIdx tail_ = kNil;
     std::size_t size_ = 0;
     std::vector<GroupInfo> groups_;
+    ExpertPresence *presence_ = nullptr;
     Time pendingWork_ = 0;
     /**
      * Queued requests carrying SLO urgency (non-default priority or a
