@@ -179,8 +179,10 @@ main()
                       formatPercent(r.slo.violationRate()),
                       std::to_string(r.preemptions),
                       std::to_string(r.migratedGroups),
-                      r.quiesceDrains > 0 ? formatTime(r.quiesceDrainMax)
-                                          : std::string("-"),
+                      // Drain latency is a preemption-layer column.
+                      r.preemptionEnabled && r.quiesceDrains > 0
+                          ? formatTime(r.quiesceDrainMax)
+                          : std::string("-"),
                       std::to_string(r.crashLost)});
             results[static_cast<int>(mode)][static_cast<int>(plan)] =
                 std::move(r);

@@ -384,10 +384,10 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         decisions.beginReplay(&replayLog);
     }
 
-    // Per-run observability state. The registry is always live (its
-    // relaxed counters mirror the legacy result fields at the same
-    // sites); the tracer, sampler and file outputs exist only when
-    // opts.telemetry.enabled — the null-sink fast path.
+    // Per-run observability state. The registry is filled once, at
+    // collection, from the result's tallies; the tracer, sampler and
+    // file outputs exist only when opts.telemetry.enabled — the
+    // null-sink fast path.
     obs::Telemetry telem(opts.telemetry,
                          static_cast<int>(cfg_.replicas.size()));
 
@@ -407,10 +407,10 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     if (!opts.recordPath.empty())
         decisions.log().save(opts.recordPath);
 
-    // Observability epilogue: derived gauges from the final result,
-    // the per-replica 1-in-16 scheduling-wall samples unified into the
-    // host profile, then the configured file outputs; the frozen
-    // snapshot rides on the result for reports and reconciliation.
+    // Observability epilogue: counters and derived gauges from the
+    // final result, the per-replica 1-in-16 scheduling-wall samples
+    // unified into the host profile, then the configured file outputs;
+    // the frozen snapshot rides on the result for exporters.
     exportClusterMetrics(out, telem.registry());
     for (const RunResult &rep : out.replicas) {
         const std::size_t cnt = rep.schedulingWallUs.count();
@@ -523,11 +523,10 @@ ClusterEngine::makeReplicaEngine(std::size_t i,
     cfg.label = cfg_.label + "/replica" + std::to_string(i);
     if (sharedCpu != nullptr)
         cfg.externalCpuTier = sharedCpu;
-    // Live metric counters (always on) and this replica's span-trace
-    // buffer (null unless telemetry is enabled). The buffer is
-    // pre-created by the Telemetry ctor, so construction inside a
-    // replica thread (static-parallel mode) never races.
-    cfg.metrics = &telem.registry();
+    // This replica's span-trace buffer (null unless telemetry is
+    // enabled). The buffer is pre-created by the Telemetry ctor, so
+    // construction inside a replica thread (static-parallel mode)
+    // never races.
     cfg.tracer = telem.replicaTracer(static_cast<int>(i));
     // Cluster-level preemption policy applies uniformly: migration
     // break-even and hysteresis must agree across replicas or a group
@@ -567,35 +566,8 @@ ClusterEngine::runCoordinated(const Trace &trace,
 
     // ----- observability ---------------------------------------------
     //
-    // Coordinator-side live counters, incremented at exactly the sites
-    // that maintain the legacy local tallies (the reconciliation test
-    // asserts they agree), plus the coordinator's trace buffer (pid 0;
-    // null when telemetry is off). cluster.images / .inferences /
-    // preempt.rescues are the engines' handles, read-only here for the
-    // epoch sampler.
-    obs::MetricsRegistry &mreg = telem.registry();
-    obs::Counter &cStolen = mreg.counter("cluster.stolen_requests");
-    obs::Counter &cMigGroups = mreg.counter("cluster.migrated_groups");
-    obs::Counter &cMigRequests =
-        mreg.counter("cluster.migrated_requests");
-    obs::Counter &cActivations =
-        mreg.counter("cluster.autoscale_activations");
-    obs::Counter &cQuiesces =
-        mreg.counter("cluster.autoscale_quiesces");
-    obs::Counter &cEvacuated =
-        mreg.counter("cluster.autoscale_evacuated");
-    obs::Counter &cQuiesceDrains =
-        mreg.counter("cluster.quiesce_drains");
-    obs::Counter &cRejected = mreg.counter("cluster.rejected");
-    obs::Counter &cDowngraded = mreg.counter("cluster.downgraded");
-    obs::Counter &cCrashes = mreg.counter("cluster.crashes");
-    obs::Counter &cRehomed = mreg.counter("cluster.crash_rehomed");
-    obs::Counter &cLost = mreg.counter("cluster.crash_lost");
-    obs::Counter &cStragglers = mreg.counter("cluster.stragglers");
-    obs::Counter &cBrownouts = mreg.counter("cluster.brownouts");
-    obs::Counter &cImagesLive = mreg.counter("cluster.images");
-    obs::Counter &cInferencesLive = mreg.counter("cluster.inferences");
-    obs::Counter &cRescuesLive = mreg.counter("preempt.rescues");
+    // The coordinator's trace buffer (pid 0; null when telemetry is
+    // off). Its counters are plain tallies, exported at collection.
     obs::ReplicaTracer *coordTr = telem.coordinatorTracer();
     if (coordTr != nullptr) {
         coordTr->setProcessName("coordinator");
@@ -634,6 +606,21 @@ ClusterEngine::runCoordinated(const Trace &trace,
     const AutoscaleConfig &as = cfg_.autoscale;
     std::vector<char> active(n, 1);
     std::size_t activeCount = n;
+    // Routers abort on an arrival no active replica can chain-serve,
+    // so every component needs an active capable replica. @return the
+    // lowest-index live quiesced replica that would cover @p comp, or
+    // n when it is already covered (or nothing left can serve it).
+    const auto coverageCandidate = [&](ComponentId comp) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (active[i] && caps.chainServes(i, comp))
+                return n;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!active[i] && !crashed[i] && caps.chainServes(i, comp))
+                return i;
+        }
+        return n;
+    };
     if (as.enabled) {
         std::size_t start = as.startReplicas == 0 ? as.minReplicas
                                                   : as.startReplicas;
@@ -642,23 +629,14 @@ ClusterEngine::runCoordinated(const Trace &trace,
             active[i] = 0;
         activeCount = start;
         // The initial active set must cover every component on a
-        // heterogeneous cluster — routers abort on an arrival no
-        // active replica can chain-serve. Activate the first capable
-        // quiesced replica for each uncovered component (same rule
-        // the quiesce path enforces via its coverage guard).
+        // heterogeneous cluster (same rule the quiesce path enforces
+        // via its coverage guard).
         for (std::size_t c = 0; c < model.numComponents(); ++c) {
-            const auto comp = static_cast<ComponentId>(c);
-            bool covered = false;
-            for (std::size_t i = 0; i < n && !covered; ++i)
-                covered = active[i] && caps.chainServes(i, comp);
-            if (covered)
-                continue;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!active[i] && caps.chainServes(i, comp)) {
-                    active[i] = 1;
-                    activeCount += 1;
-                    break;
-                }
+            const std::size_t i =
+                coverageCandidate(static_cast<ComponentId>(c));
+            if (i < n) {
+                active[i] = 1;
+                activeCount += 1;
             }
         }
     }
@@ -718,7 +696,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 continue;
             const Time drain = engines[i]->now() - quiesceStart[i];
             quiesceDrains += 1;
-            cQuiesceDrains.add(1);
             quiesceDrainTotal += drain;
             quiesceDrainMax = std::max(quiesceDrainMax, drain);
             quiesceStart[i] = kTimeNever;
@@ -788,7 +765,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
     }
     const AdmissionController admission(cfg_.admission);
     SloStats coordSlo; // cluster-level admission verdicts
-    std::int64_t coordRejected = 0;
 
     // Shared-tier steal hint scratch: distinct experts of re-routed
     // requests (see SharedCpuTier::hintUpcomingLoads).
@@ -857,8 +833,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         if (target != src) {
             migratedGroups += 1;
             migratedRequests += static_cast<std::int64_t>(cnt);
-            cMigGroups.add(1);
-            cMigRequests.add(static_cast<std::int64_t>(cnt));
             hintSharedTier(img.requests);
         }
         engines[target]->adoptCheckpoint(std::move(img));
@@ -970,7 +944,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                             static_cast<std::uint64_t>(victim),
                             static_cast<std::uint64_t>(thief),
                             static_cast<std::uint64_t>(got)});
-            cStolen.add(static_cast<std::int64_t>(got));
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "steal", 0, now,
@@ -1007,6 +980,21 @@ ClusterEngine::runCoordinated(const Trace &trace,
         activeIntegral += static_cast<double>(activeCount) *
                           static_cast<double>(now - lastActiveMark);
         lastActiveMark = now;
+    };
+    // Wake quiesced replica @p i: it is built, preloaded and idle, so
+    // activation is instant.
+    const auto activate = [&](std::size_t i, Time now) {
+        noteActiveChange(now);
+        active[i] = 1;
+        activeCount += 1;
+        activations += 1;
+        live[i].acceptingWork = true;
+        decisions.note({now, DecisionKind::ScaleUp,
+                        static_cast<std::uint64_t>(i), 0, 0});
+        if (coordTr != nullptr) {
+            coordTr->instant("scale-up", 0, now,
+                             {"replica", static_cast<std::int64_t>(i)});
+        }
     };
 
     // Quiescing must never leave a component unservable: on a
@@ -1049,7 +1037,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                                 static_cast<std::uint64_t>(q),
                                 static_cast<std::uint64_t>(t),
                                 static_cast<std::uint64_t>(got)});
-                cEvacuated.add(static_cast<std::int64_t>(got));
                 if (coordTr != nullptr) {
                     coordTr->instant(
                         "evacuate", 0, now,
@@ -1106,26 +1093,13 @@ ClusterEngine::runCoordinated(const Trace &trace,
         if ((violRate > as.violationHigh ||
              perActive > static_cast<double>(as.backlogHigh)) &&
             activeCount < n - crashedCount) {
-            // Scale up: wake the lowest-index quiesced replica (it is
-            // built, preloaded and idle — activation is instant).
+            // Scale up: wake the lowest-index quiesced replica.
             // Crashed replicas never come back.
             for (std::size_t i = 0; i < n; ++i) {
                 if (active[i] || crashed[i])
                     continue;
-                noteActiveChange(now);
-                active[i] = 1;
-                activeCount += 1;
-                activations += 1;
+                activate(i, now);
                 lastScaleAction = now;
-                live[i].acceptingWork = true;
-                decisions.note({now, DecisionKind::ScaleUp,
-                                static_cast<std::uint64_t>(i), 0, 0});
-                cActivations.add(1);
-                if (coordTr != nullptr) {
-                    coordTr->instant(
-                        "scale-up", 0, now,
-                        {"replica", static_cast<std::int64_t>(i)});
-                }
                 break;
             }
         } else if (violRate < as.violationLow &&
@@ -1154,7 +1128,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
             live[q].acceptingWork = false;
             decisions.note({now, DecisionKind::Quiesce,
                             static_cast<std::uint64_t>(q), 0, 0});
-            cQuiesces.add(1);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "quiesce", 0, now,
@@ -1187,6 +1160,18 @@ ClusterEngine::runCoordinated(const Trace &trace,
             crashedCount += 1;
             crashes += 1;
             live[r].acceptingWork = false;
+            // With autoscale on, the dead replica may have been the
+            // last active one able to serve some component (or the
+            // last active one at all): wake quiesced survivors to
+            // restore coverage before anything is re-homed.
+            if (as.enabled) {
+                for (std::size_t c = 0; c < model.numComponents(); ++c) {
+                    const std::size_t i =
+                        coverageCandidate(static_cast<ComponentId>(c));
+                    if (i < n)
+                        activate(i, f.time);
+                }
+            }
             // Lossless recovery of in-flight work: capture every
             // running batch at its last *completed* step boundary
             // (plus parked and outbox images — the periodic boundary
@@ -1245,9 +1230,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
             // lost request is exactly one lost image.
             lostHere += lostCkpt;
             lostImages += lostHere;
-            cCrashes.add(1);
-            cRehomed.add(rehomedHere);
-            cLost.add(lostHere);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "crash", 0, f.time,
@@ -1272,7 +1254,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         case DecisionKind::StragglerOn:
             engines[f.replica]->setComputeScale(f.factor);
             stragglers += 1;
-            cStragglers.add(1);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "straggler on", 0, f.time,
@@ -1298,7 +1279,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         case DecisionKind::BrownoutOn:
             engines[f.replica]->setStorageRateScale(f.factor);
             brownouts += 1;
-            cBrownouts.add(1);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "brownout on", 0, f.time,
@@ -1367,9 +1347,12 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 static_cast<double>(cpuHits) /
                 static_cast<double>(cpuHits + cpuMisses);
         }
-        row.images = cImagesLive.value();
-        row.inferences = cInferencesLive.value();
-        row.preemptions = cRescuesLive.value();
+        // Progress counts every engine, crashed ones included: their
+        // pre-crash work stays in the run's totals.
+        for (const auto &engine : engines) {
+            engine->sampleProgress(row.images, row.inferences,
+                                   row.preemptions);
+        }
         if (t > 0) {
             row.goodputImgPerSec =
                 static_cast<double>(row.images) / toSeconds(t);
@@ -1466,8 +1449,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                     a.cls, a.time, a.deadline, best);
                 if (verdict == AdmissionVerdict::Reject) {
                     coordSlo.recordRejected(a.cls);
-                    coordRejected += 1;
-                    cRejected.add(1);
                     if (coordTr != nullptr) {
                         coordTr->instant(
                             "admission reject", 0, a.time,
@@ -1484,7 +1465,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                     // violation accounting (see ServingEngine's
                     // admitTimed).
                     coordSlo.recordDowngraded(a.cls);
-                    cDowngraded.add(1);
                     if (coordTr != nullptr) {
                         coordTr->instant(
                             "admission downgrade", 0, a.time,
@@ -1529,7 +1509,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 // the drop with the out-of-range sentinel replica `n`
                 // so replays still cover it.
                 lostImages += 1;
-                cLost.add(1);
                 if (coordTr != nullptr) {
                     coordTr->instant(
                         "route (lost)", 0, a.time,
@@ -1567,7 +1546,7 @@ ClusterEngine::runCoordinated(const Trace &trace,
     const WallTimer collectWall;
     std::vector<RunResult> results(n);
     std::int64_t images = 0;
-    std::int64_t rejected = coordRejected;
+    std::int64_t rejected = coordSlo.rejected();
     for (std::size_t i = 0; i < n; ++i) {
         rejected += engines[i]->rejectedImages();
         results[i] = engines[i]->finishOnline();
@@ -1596,6 +1575,9 @@ ClusterEngine::runCoordinated(const Trace &trace,
         out.autoscaleActivations = activations;
         out.autoscaleQuiesces = quiesces;
         out.autoscaleEvacuated = evacuated;
+        out.quiesceDrains = quiesceDrains;
+        out.quiesceDrainTotal = quiesceDrainTotal;
+        out.quiesceDrainMax = quiesceDrainMax;
         if (out.makespan > lastActiveMark) {
             activeIntegral += static_cast<double>(activeCount) *
                               static_cast<double>(out.makespan -
@@ -1610,9 +1592,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         out.preemptionEnabled = true;
         out.migratedGroups = migratedGroups;
         out.migratedRequests = migratedRequests;
-        out.quiesceDrains = quiesceDrains;
-        out.quiesceDrainTotal = quiesceDrainTotal;
-        out.quiesceDrainMax = quiesceDrainMax;
     }
     if (opts.faults.any()) {
         out.faultsInjected = true;
@@ -1623,6 +1602,27 @@ ClusterEngine::runCoordinated(const Trace &trace,
         out.brownoutsInjected = brownouts;
     }
     appendSharedTierStats(out, sharedCpu.get());
+
+    // The coordinator's own counters go into the registry once, from
+    // the tallies above; static sharded runs have none to export.
+    obs::MetricsRegistry &reg = telem.registry();
+    const auto count = [&reg](const char *name, std::int64_t v) {
+        reg.counter(name).add(v);
+    };
+    count("cluster.stolen_requests", out.stolenRequests);
+    count("cluster.migrated_groups", migratedGroups);
+    count("cluster.migrated_requests", migratedRequests);
+    count("cluster.autoscale_activations", activations);
+    count("cluster.autoscale_quiesces", quiesces);
+    count("cluster.autoscale_evacuated", evacuated);
+    count("cluster.quiesce_drains", quiesceDrains);
+    count("cluster.rejected", coordSlo.rejected());
+    count("cluster.downgraded", coordSlo.downgraded());
+    count("cluster.crashes", crashes);
+    count("cluster.crash_rehomed", rehomed);
+    count("cluster.crash_lost", lostImages);
+    count("cluster.stragglers", stragglers);
+    count("cluster.brownouts", brownouts);
     telem.host().add("collect", collectWall.elapsedMicros());
     return out;
 }

@@ -166,12 +166,11 @@ struct ClusterResult
     double wallSeconds = 0.0;
 
     /**
-     * Frozen metrics-registry snapshot (obs/metrics.h): the live
-     * counters the engines and the coordinator maintained during the
-     * run, plus the derived gauges exported at collection time.
-     * summarize() sources its cluster / SLO / tier sections from here
-     * (falling back to the struct fields when empty), and the obs
-     * reconciliation test asserts snapshot == legacy counters.
+     * Frozen metrics-registry snapshot (obs/metrics.h): this result's
+     * counters and derived gauges under their export names, filled
+     * once at collection (exportClusterMetrics plus, on coordinator
+     * runs, the coordinator's tallies), and the host profile. A view
+     * for exporters; the fields above are the source.
      */
     obs::MetricsSnapshot metrics;
 

@@ -48,12 +48,12 @@ void printComparison(const std::vector<RunResult> &results,
 void printComparison(const std::vector<RunResult> &results);
 
 /**
- * Export the derived cluster metrics (throughput, makespan, SLO
- * aggregates and per-class quantiles, per-tier counters, autoscale /
- * quiesce-drain values) as gauges into @p registry, under the keys
- * summarize() reads back from the result's snapshot. Live counters
- * (cluster.images, switch.*, preempt.*, the coordinator's cluster.*)
- * are not exported here — they were maintained during the run.
+ * Export @p result into @p registry: the engine-family counters
+ * (cluster.images / .inferences, switch.*, preempt.*) and the derived
+ * gauges (throughput, makespan, SLO aggregates and per-class
+ * quantiles, per-tier counters, autoscale / quiesce-drain values).
+ * The coordinator-family counters are written by the coordinator
+ * itself; static sharded runs have none.
  */
 void exportClusterMetrics(const ClusterResult &result,
                           obs::MetricsRegistry &registry);

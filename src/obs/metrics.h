@@ -2,17 +2,17 @@
  * @file
  * Metrics registry: named Counter / Gauge / Histogram handles.
  *
- * The registry replaces ad-hoc counter plumbing: the engines and the
- * cluster coordinator increment live handles at the same sites that
- * maintain the legacy result-struct fields, and the final snapshot is
- * attached to ClusterResult so reports read metric values from one
- * authoritative place (a reconciliation test asserts snapshot ==
- * legacy counters, catching drift in either direction).
+ * The registry is an export surface, not a second tally: every
+ * counter is kept once, in the typed result structs (RunResult /
+ * ClusterResult and the coordinator's own tallies), and
+ * ClusterEngine::run fills the registry from them once at collection.
+ * The frozen snapshot rides on ClusterResult for file exporters and
+ * tools that want metrics by name; reports read the structs.
  *
- * Determinism: counters are relaxed atomics — increments commute, so
- * the final values are independent of replica-thread interleaving.
- * Registration is mutex-guarded because engines are constructed inside
- * replica threads in static-parallel mode. Storage is std::map, so
+ * Determinism: counters and histograms are relaxed atomics, so
+ * increments commute and values are independent of thread
+ * interleaving; registration is mutex-guarded, so handles may be
+ * created from any thread. Storage is std::map, so
  * snapshot order is the sorted metric name order — stable across runs
  * and platforms (no unordered containers anywhere in the obs layer).
  */
@@ -107,7 +107,7 @@ struct MetricSample
 
 /**
  * Frozen, name-sorted view of a registry. Attached to ClusterResult
- * so summarize() and tests read metrics without holding the registry.
+ * so exporters and tests read metrics without holding the registry.
  */
 struct MetricsSnapshot
 {

@@ -33,10 +33,6 @@
 
 namespace coserve {
 
-namespace obs {
-class Counter; // obs/metrics.h
-} // namespace obs
-
 /**
  * Live load snapshot of one serving engine, exposed to cluster-level
  * routers (cluster/router.h) in online-routing mode: what a replica is
@@ -221,6 +217,20 @@ class ServingEngine
                            std::int64_t &gpuMisses,
                            std::int64_t &cpuHits,
                            std::int64_t &cpuMisses) const;
+
+    /**
+     * Accumulate this engine's completed images, inference executions
+     * and deadline rescues so far — the epoch sampler's progress
+     * columns, read from the tallies the RunResult reports.
+     */
+    void
+    sampleProgress(std::int64_t &images, std::int64_t &inferences,
+                   std::int64_t &rescues) const
+    {
+        images += imagesDone_;
+        inferences += result_.inferences;
+        rescues += result_.preemptions;
+    }
 
     /**
      * Work stealing (victim side): remove up to @p maxCount
@@ -563,24 +573,6 @@ class ServingEngine
     bool online_ = false;
     /** True once crashDrain() ran (fault injection). */
     bool crashed_ = false;
-
-    // Live metrics handles, cached once from cfg_.metrics at
-    // construction (all null for standalone engines — each site is a
-    // single predictable branch). Incremented at exactly the sites
-    // that maintain the corresponding result_ fields, so the cluster
-    // reconciliation test can catch drift in either direction.
-    obs::Counter *mImages_ = nullptr;
-    obs::Counter *mInferences_ = nullptr;
-    obs::Counter *mLoadsSsd_ = nullptr;
-    obs::Counter *mLoadsCache_ = nullptr;
-    obs::Counter *mPrefetchLoads_ = nullptr;
-    obs::Counter *mEvictions_ = nullptr;
-    obs::Counter *mDemotions_ = nullptr;
-    obs::Counter *mBytesLoaded_ = nullptr;
-    obs::Counter *mPreemptions_ = nullptr;
-    obs::Counter *mCheckpointedGroups_ = nullptr;
-    obs::Counter *mRestoredGroups_ = nullptr;
-    obs::Counter *mCheckpointBytes_ = nullptr;
 
     RunResult result_;
 };

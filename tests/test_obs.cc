@@ -5,7 +5,7 @@
  * trace-event JSON, host-profile export, TelemetryConfig validation,
  * telemetry on/off schedule invariance (same decision digest and sim
  * metrics), trace byte-stability across repeat runs and the parallel
- * flag, registry-vs-legacy counter reconciliation, and the epoch
+ * flag, the registry export of every result counter, and the epoch
  * sampler's CSV time series.
  */
 
@@ -324,8 +324,7 @@ TEST_F(ObsFixture, TelemetryOnLeavesScheduleByteIdentical)
     EXPECT_EQ(roff.stolenRequests, ron.stolenRequests);
     EXPECT_GT(ron.preemptions, 0);
 
-    // summarize() sources from the registry snapshot in both runs, so
-    // the rendered reports agree too (wall time is host-side and
+    // The rendered reports agree too (wall time is host-side and
     // intentionally not part of summarize()).
     EXPECT_EQ(summarize(roff), summarize(ron));
 
@@ -380,8 +379,8 @@ TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRunsAndParallelFlag)
 TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
 {
     // Crash + migration exercises every counter family at once. The
-    // registry is live even with telemetry off — the snapshot rides
-    // every ClusterResult.
+    // registry is filled at collection even with telemetry off — the
+    // snapshot rides every ClusterResult.
     RunOptions opts = runWithMode(RunMode::Online);
     opts.faults.crashes.push_back(
         {1, trace_.arrivals[trace_.size() / 2].time});
@@ -392,7 +391,7 @@ TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
     const auto counter = [&](const char *name) {
         return static_cast<std::int64_t>(r.metrics.value(name, -1));
     };
-    // Engine-side live counters vs. the legacy aggregated fields.
+    // Engine-family counters vs. the aggregated result fields.
     EXPECT_EQ(counter("cluster.images"), r.images);
     EXPECT_EQ(counter("cluster.inferences"), r.inferences);
     EXPECT_EQ(counter("switch.loads_ssd"), r.switches.loadsFromSsd);
@@ -407,7 +406,7 @@ TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
               r.checkpointedGroups);
     EXPECT_EQ(counter("preempt.restored_groups"), r.restoredGroups);
     EXPECT_EQ(counter("preempt.checkpoint_bytes"), r.checkpointBytes);
-    // Coordinator-side live counters.
+    // Coordinator-family counters.
     EXPECT_EQ(counter("cluster.stolen_requests"), r.stolenRequests);
     EXPECT_EQ(counter("cluster.migrated_groups"), r.migratedGroups);
     EXPECT_EQ(counter("cluster.migrated_requests"),
@@ -448,6 +447,46 @@ TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
     EXPECT_GT(r.preemptions, 0);
     EXPECT_GT(r.migratedGroups, 0);
     EXPECT_EQ(r.crashesInjected, 1);
+
+    // A static sharded run has no coordinator: every engine-family
+    // counter is exported from its struct field, and no
+    // coordinator-family key appears.
+    ClusterEngine sharded(obsConfig(3, /*migration=*/false));
+    const ClusterResult s =
+        sharded.run(trace_, runWithMode(RunMode::Static));
+    const std::pair<const char *, std::int64_t> engineFamily[] = {
+        {"cluster.images", s.images},
+        {"cluster.inferences", s.inferences},
+        {"switch.loads_ssd", s.switches.loadsFromSsd},
+        {"switch.loads_cache", s.switches.loadsFromCache},
+        {"switch.prefetch_loads", s.switches.prefetchLoads},
+        {"switch.evictions", s.switches.evictions},
+        {"switch.demotions", s.switches.demotions},
+        {"switch.bytes_loaded", s.switches.bytesLoaded},
+        {"preempt.rescues", s.preemptions},
+        {"preempt.checkpointed_groups", s.checkpointedGroups},
+        {"preempt.restored_groups", s.restoredGroups},
+        {"preempt.checkpoint_bytes", s.checkpointBytes},
+    };
+    for (const auto &[name, value] : engineFamily) {
+        const obs::MetricSample *m = s.metrics.find(name);
+        ASSERT_NE(m, nullptr) << name;
+        EXPECT_EQ(m->kind, "counter") << name;
+        EXPECT_EQ(static_cast<std::int64_t>(m->value), value) << name;
+    }
+    for (const char *name :
+         {"cluster.stolen_requests", "cluster.migrated_groups",
+          "cluster.migrated_requests", "cluster.autoscale_activations",
+          "cluster.autoscale_quiesces", "cluster.autoscale_evacuated",
+          "cluster.quiesce_drains", "cluster.rejected",
+          "cluster.downgraded", "cluster.crashes",
+          "cluster.crash_rehomed", "cluster.crash_lost",
+          "cluster.stragglers", "cluster.brownouts"}) {
+        EXPECT_EQ(s.metrics.find(name), nullptr) << name;
+        EXPECT_NE(r.metrics.find(name), nullptr) << name;
+    }
+    EXPECT_GT(s.images, 0);
+    EXPECT_GT(s.preemptions, 0);
 }
 
 // ------------------------------------------------------- epoch sampler

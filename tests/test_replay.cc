@@ -365,6 +365,57 @@ TEST_F(ReplayFixture, StaticModeSupportsFaultsWithPinnedRouting)
     EXPECT_NE(r.decisionDigest, base.decisionDigest);
 }
 
+TEST_F(ReplayFixture, CrashOfLastActiveReplicaWakesAQuiescedOne)
+{
+    // Two bursts around a 10 s quiet spell: the autoscaler quiesces
+    // down to one replica during the lull, and that replica dies a
+    // few arrivals into the second burst. A quiesced survivor must be
+    // woken to take the dead replica's work and the rest of the
+    // burst: nothing is lost, and routing never finds an empty
+    // active set.
+    Trace trace = trace_;
+    const std::size_t half = trace.size() / 2;
+    for (std::size_t i = half; i < trace.size(); ++i)
+        trace.arrivals[i].time += seconds(10);
+
+    ClusterConfig cc = onlineConfig(3);
+    cc.autoscale.enabled = true;
+    cc.autoscale.interval = milliseconds(500);
+    cc.autoscale.cooldown = seconds(1);
+    cc.autoscale.minReplicas = 1;
+    cc.autoscale.startReplicas = 3;
+    const std::string log = tempPath("replay_last_active.bin");
+    RunOptions opts = runWithMode(RunMode::Online);
+    opts.recordPath = log;
+    opts.faults.crashes.push_back({0, trace.arrivals[half + 4].time});
+    ClusterEngine cluster(std::move(cc));
+    const ClusterResult r = cluster.run(trace, opts);
+
+    EXPECT_GT(r.crashRehomed, 0);
+    EXPECT_EQ(r.crashLost, 0);
+    EXPECT_EQ(r.images, static_cast<std::int64_t>(trace.size()));
+
+    // Walk the decision stream: the crash must hit the sole active
+    // replica, and a quiesced one must be woken at the crash instant.
+    const Time crashAt = opts.faults.crashes.front().at;
+    std::vector<char> active(3, 1);
+    bool crashSeen = false, woken = false;
+    const DecisionLog decisions = DecisionLog::load(log);
+    for (const DecisionRecord &d : decisions.records()) {
+        if (d.time < crashAt && d.kind == DecisionKind::Quiesce)
+            active[d.a] = 0;
+        else if (d.time < crashAt && d.kind == DecisionKind::ScaleUp)
+            active[d.a] = 1;
+        woken = woken || (d.time == crashAt &&
+                          d.kind == DecisionKind::ScaleUp && d.a != 0);
+        crashSeen = crashSeen || d.kind == DecisionKind::Crash;
+    }
+    EXPECT_EQ(active, (std::vector<char>{1, 0, 0}));
+    EXPECT_TRUE(crashSeen);
+    EXPECT_TRUE(woken);
+    std::remove(log.c_str());
+}
+
 TEST_F(ReplayFixture, StragglerSlowsDeterministically)
 {
     const auto run = [&](FaultPlan faults) {
