@@ -421,9 +421,8 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
                              static_cast<std::int64_t>(cnt));
         }
     }
-    if (!telem.finish())
+    if (!telem.finish(out.metrics))
         fatal("telemetry: failed to write configured output files");
-    out.metrics = telem.registry().snapshot();
     return out;
 }
 

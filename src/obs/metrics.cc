@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/output_file.h"
+
 namespace coserve::obs {
 
 Histogram::Histogram(std::vector<std::int64_t> bounds)
@@ -44,6 +46,22 @@ MetricsSnapshot::value(const std::string &name, double fallback) const
 {
     const MetricSample *s = find(name);
     return s ? s->value : fallback;
+}
+
+bool
+MetricsSnapshot::writeJson(const std::string &path) const
+{
+    OutputFile out(path);
+    std::FILE *f = out.get();
+    if (!f)
+        return false;
+    std::fprintf(f, "{\n");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::fprintf(f, "  \"%s\": %.17g%s\n", rows[i].name.c_str(),
+                     rows[i].value, i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "}\n");
+    return out.close();
 }
 
 Counter &
@@ -99,24 +117,6 @@ MetricsRegistry::snapshot() const
                   return a.name < b.name;
               });
     return snap;
-}
-
-bool
-MetricsRegistry::writeJson(const std::string &path) const
-{
-    const MetricsSnapshot snap = snapshot();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < snap.rows.size(); ++i) {
-        std::fprintf(f, "  \"%s\": %.17g%s\n",
-                     snap.rows[i].name.c_str(), snap.rows[i].value,
-                     i + 1 < snap.rows.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    return true;
 }
 
 } // namespace coserve::obs

@@ -120,6 +120,13 @@ struct MetricsSnapshot
     double value(const std::string &name, double fallback) const;
 
     bool empty() const { return rows.empty(); }
+
+    /**
+     * Write the rows as a flat JSON object to @p path (replacing the
+     * file; see OutputFile). @return false on any open, write or
+     * close failure.
+     */
+    bool writeJson(const std::string &path) const;
 };
 
 /**
@@ -141,9 +148,6 @@ class MetricsRegistry
 
     /** Freeze current values into a name-sorted snapshot. */
     MetricsSnapshot snapshot() const;
-
-    /** Write the snapshot as a flat JSON object to @p path. */
-    bool writeJson(const std::string &path) const;
 
   private:
     mutable Mutex mu_;

@@ -66,14 +66,15 @@ formatI(std::int64_t v)
 } // namespace
 
 bool
-Telemetry::finish()
+Telemetry::finish(MetricsSnapshot &snapshot)
 {
     bool ok = true;
     host_.exportTo(registry_);
+    snapshot = registry_.snapshot();
     if (tracer_ && !cfg_.tracePath.empty())
         ok = tracer_->writeFile(cfg_.tracePath) && ok;
     if (cfg_.enabled && !cfg_.metricsJsonPath.empty())
-        ok = registry_.writeJson(cfg_.metricsJsonPath) && ok;
+        ok = snapshot.writeJson(cfg_.metricsJsonPath) && ok;
     if (samplingEnabled()) {
         CsvWriter csv(cfg_.metricsCsvPath,
                       {"t_s", "queue_depth", "active_replicas",
@@ -89,6 +90,7 @@ Telemetry::finish()
                         formatG(s.gpuHitRate),
                         formatG(s.cpuHitRate)});
         }
+        ok = csv.close() && ok;
     }
     return ok;
 }

@@ -135,11 +135,12 @@ class Telemetry
     HostProfile &host() { return host_; }
 
     /**
-     * Write the configured outputs (trace JSON, metrics JSON, sampler
-     * CSV) and fold the host profile into the registry. @return false
-     * when any configured file could not be written.
+     * Fold the host profile into the registry, freeze it into
+     * @p snapshot, and write the configured outputs (trace JSON, that
+     * snapshot as metrics JSON, sampler CSV). @return false when any
+     * configured file could not be opened, written or closed.
      */
-    bool finish();
+    bool finish(MetricsSnapshot &snapshot);
 
   private:
     TelemetryConfig cfg_;

@@ -1,81 +1,181 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
+
+#include "util/output_file.h"
 
 namespace coserve::obs {
 
 namespace {
 
-/** Append virtual @p t as exact microseconds ("12.345" for 12345 ns). */
-void
-appendTs(std::string &out, Time t)
+/**
+ * Fixed-size text buffer that hands each full block to a sink, so the
+ * export holds at most kBlockBytes of rendered text. Literals are
+ * copied with memcpy and integers formatted with std::to_chars.
+ */
+class BlockWriter
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                  static_cast<long long>(t / 1000),
-                  static_cast<long long>(t % 1000));
-    out += buf;
-}
+  public:
+    static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+    using Sink = std::function<void(const char *, std::size_t)>;
+
+    explicit BlockWriter(const Sink &sink)
+        : sink_(sink), buf_(new char[kBlockBytes])
+    {
+    }
+
+    void
+    put(const char *s, std::size_t n)
+    {
+        while (n > kBlockBytes - len_) {
+            const std::size_t room = kBlockBytes - len_;
+            std::memcpy(buf_.get() + len_, s, room);
+            len_ = kBlockBytes;
+            flush();
+            s += room;
+            n -= room;
+        }
+        std::memcpy(buf_.get() + len_, s, n);
+        len_ += n;
+    }
+
+    template <std::size_t N>
+    void
+    lit(const char (&s)[N])
+    {
+        put(s, N - 1);
+    }
+
+    void str(const char *s) { put(s, std::strlen(s)); }
+
+    void
+    ch(char c)
+    {
+        reserve(1);
+        buf_[len_++] = c;
+    }
+
+    void
+    integer(std::int64_t v)
+    {
+        reserve(kMaxIntChars);
+        char *p = buf_.get() + len_;
+        len_ += static_cast<std::size_t>(
+            std::to_chars(p, p + kMaxIntChars, v).ptr - p);
+    }
+
+    /** Virtual @p t as exact microseconds ("12.345" for 12345 ns). */
+    void
+    timestamp(Time t)
+    {
+        if (t < 0) {
+            // Virtual time starts at 0, so only hand-built traces get
+            // here. C's truncating quotient and remainder: -1500 ns
+            // prints "-1.-500".
+            char tmp[48];
+            const int n = std::snprintf(tmp, sizeof(tmp), "%lld.%03lld",
+                                        static_cast<long long>(t / 1000),
+                                        static_cast<long long>(t % 1000));
+            put(tmp, static_cast<std::size_t>(n));
+            return;
+        }
+        integer(t / 1000);
+        const auto frac = static_cast<int>(t % 1000);
+        reserve(4);
+        char *p = buf_.get() + len_;
+        p[0] = '.';
+        p[1] = static_cast<char>('0' + frac / 100);
+        p[2] = static_cast<char>('0' + frac / 10 % 10);
+        p[3] = static_cast<char>('0' + frac % 10);
+        len_ += 4;
+    }
+
+    /** Hand the buffered text to the sink. */
+    void
+    flush()
+    {
+        if (len_ > 0)
+            sink_(buf_.get(), len_);
+        len_ = 0;
+    }
+
+  private:
+    /** Longest std::int64_t in decimal: sign plus 19 digits. */
+    static constexpr std::size_t kMaxIntChars = 20;
+
+    /** Flush first unless @p n more bytes fit in this block. */
+    void
+    reserve(std::size_t n)
+    {
+        if (kBlockBytes - len_ < n)
+            flush();
+    }
+
+    const Sink &sink_;
+    std::unique_ptr<char[]> buf_;
+    std::size_t len_ = 0;
+};
 
 void
-appendEvent(std::string &out, const TraceEvent &e, std::int32_t pid,
+renderEvent(BlockWriter &w, const TraceEvent &e, std::int32_t pid,
             const std::vector<TraceArg> &args)
 {
-    out += "{\"ph\":\"";
-    out += e.ph;
-    out += "\",\"ts\":";
-    appendTs(out, e.ts);
+    w.lit("{\"ph\":\"");
+    w.ch(e.ph);
+    w.lit("\",\"ts\":");
+    w.timestamp(e.ts);
     if (e.ph == 'X') {
-        out += ",\"dur\":";
-        appendTs(out, e.durOrFlowId);
+        w.lit(",\"dur\":");
+        w.timestamp(e.durOrFlowId);
     }
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), ",\"pid\":%d,\"tid\":%d", pid,
-                  static_cast<int>(e.tid));
-    out += buf;
-    out += ",\"name\":\"";
-    out += e.name;
-    out += "\"";
+    w.lit(",\"pid\":");
+    w.integer(pid);
+    w.lit(",\"tid\":");
+    w.integer(e.tid);
+    w.lit(",\"name\":\"");
+    w.str(e.name);
+    w.ch('"');
     if (e.ph == 'i')
-        out += ",\"s\":\"t\"";
+        w.lit(",\"s\":\"t\"");
     if (e.ph == 's' || e.ph == 'f') {
-        std::snprintf(buf, sizeof(buf), ",\"id\":%lld",
-                      static_cast<long long>(e.durOrFlowId));
-        out += buf;
+        w.lit(",\"id\":");
+        w.integer(e.durOrFlowId);
         if (e.ph == 'f')
-            out += ",\"bp\":\"e\"";
+            w.lit(",\"bp\":\"e\"");
     }
     if (e.argCount > 0) {
-        out += ",\"args\":{";
+        w.lit(",\"args\":{");
         for (std::uint8_t i = 0; i < e.argCount; ++i) {
             const TraceArg &a = args[e.argStart + i];
-            std::snprintf(buf, sizeof(buf), "%s\"%s\":%lld",
-                          i > 0 ? "," : "", a.key,
-                          static_cast<long long>(a.value));
-            out += buf;
+            if (i > 0)
+                w.ch(',');
+            w.ch('"');
+            w.str(a.key);
+            w.lit("\":");
+            w.integer(a.value);
         }
-        out += "}";
+        w.ch('}');
     }
-    out += "}";
+    w.ch('}');
 }
 
 void
-appendMetadata(std::string &out, std::int32_t pid, std::int32_t tid,
-               const char *what, const std::string &name, bool &first)
+renderMetadata(BlockWriter &w, std::int32_t pid, std::int32_t tid,
+               const char *what, const std::string &name)
 {
-    if (!first)
-        out += ",\n";
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%d,\"tid\":%d", pid, tid);
-    out += "{\"ph\":\"M\",\"ts\":0.000,\"pid\":";
-    out += buf;
-    out += ",\"name\":\"";
-    out += what;
-    out += "\",\"args\":{\"name\":\"";
-    out += name;
-    out += "\"}}";
+    w.lit("{\"ph\":\"M\",\"ts\":0.000,\"pid\":");
+    w.integer(pid);
+    w.lit(",\"tid\":");
+    w.integer(tid);
+    w.lit(",\"name\":\"");
+    w.str(what);
+    w.lit("\",\"args\":{\"name\":\"");
+    w.put(name.data(), name.size());
+    w.lit("\"}}");
 }
 
 } // namespace
@@ -166,8 +266,8 @@ Tracer::eventCount() const
     return n;
 }
 
-std::string
-Tracer::toJson() const
+void
+Tracer::render(const TextSink &sink) const
 {
     // Merge in pid order, then stable-sort by virtual timestamp: each
     // replica's buffer already holds its own deterministic sequence,
@@ -189,41 +289,53 @@ Tracer::toJson() const
                          return a.e->ts < b.e->ts;
                      });
 
-    std::string out;
-    out.reserve(64 + merged.size() * 96);
-    out += "{\"traceEvents\":[\n";
+    BlockWriter w(sink);
+    w.lit("{\"traceEvents\":[\n");
     bool first = true;
+    const auto separate = [&w, &first] {
+        if (!first)
+            w.lit(",\n");
+        first = false;
+    };
     for (const auto &b : buffers_) {
         for (const auto &kv : b->names_) {
+            separate();
             if (kv.first < 0)
-                appendMetadata(out, b->pid_, 0, "process_name",
-                               kv.second, first);
+                renderMetadata(w, b->pid_, 0, "process_name", kv.second);
             else
-                appendMetadata(out, b->pid_, kv.first, "thread_name",
-                               kv.second, first);
+                renderMetadata(w, b->pid_, kv.first, "thread_name",
+                               kv.second);
         }
     }
     for (const Row &row : merged) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        appendEvent(out, *row.e, row.buf->pid_, row.buf->args_);
+        separate();
+        renderEvent(w, *row.e, row.buf->pid_, row.buf->args_);
     }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+    w.lit("\n],\"displayTimeUnit\":\"ms\"}\n");
+    w.flush();
+}
+
+std::string
+Tracer::toJson() const
+{
+    std::string out;
+    render([&out](const char *data, std::size_t n) {
+        out.append(data, n);
+    });
     return out;
 }
 
 bool
 Tracer::writeFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
+    OutputFile out(path);
+    std::FILE *f = out.get();
     if (!f)
         return false;
-    const std::string json = toJson();
-    const std::size_t wrote =
-        std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    return wrote == json.size();
+    render([f](const char *data, std::size_t n) {
+        std::fwrite(data, 1, n, f);
+    });
+    return out.close();
 }
 
 } // namespace coserve::obs

@@ -16,12 +16,19 @@
  * static-parallel mode never shares a buffer. The final merge
  * concatenates buffers in pid order and stable-sorts by timestamp:
  * equal timestamps keep pid order, so the merge is deterministic.
+ *
+ * Export streams: one renderer writes the merged JSON through a fixed
+ * 64 KiB block (literals by memcpy, integers by std::to_chars) into a
+ * sink. writeFile() hands each block to the file as it fills, so the
+ * rendered document is never held whole; only the event index for
+ * the sort is.
  */
 
 #ifndef COSERVE_OBS_TRACE_H
 #define COSERVE_OBS_TRACE_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,18 +150,33 @@ class Tracer
     std::size_t eventCount() const;
 
     /**
-     * Render the merged trace as Chrome trace-event JSON. Metadata
-     * first (pid, then tid order), then events stable-sorted by
-     * virtual timestamp (ties keep pid/record order). Timestamps are
-     * printed as microseconds with nanosecond decimals, so the text is
-     * exact and byte-stable.
+     * Render the merged trace as Chrome trace-event JSON into one
+     * string: the same bytes writeFile() writes. Metadata first (pid,
+     * then tid order), then events stable-sorted by virtual timestamp
+     * (ties keep pid/record order). Timestamps are printed as
+     * microseconds with nanosecond decimals, so the text is exact and
+     * byte-stable. Holds the whole document; kept for tests.
      */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; @return success. */
+    /**
+     * Stream the toJson() bytes to @p path in 64 KiB blocks, never
+     * holding the whole document. The file is replaced rather than
+     * truncated in place (see OutputFile). @return false on any open,
+     * write or close failure.
+     */
     bool writeFile(const std::string &path) const;
 
   private:
+    using TextSink = std::function<void(const char *, std::size_t)>;
+
+    /**
+     * The one renderer behind toJson() and writeFile(): merge and
+     * sort the events, then hand the JSON to @p sink in blocks of at
+     * most 64 KiB.
+     */
+    void render(const TextSink &sink) const;
+
     std::vector<std::unique_ptr<ReplicaTracer>> buffers_;
 };
 

@@ -1,15 +1,11 @@
 #include "util/csv.h"
 
-#include "util/logging.h"
-
 namespace coserve {
 
 CsvWriter::CsvWriter(const std::string &path,
                      std::vector<std::string> header)
     : out_(path)
 {
-    if (!out_)
-        fatal("cannot open CSV output: ", path);
     writeRow(header);
 }
 
@@ -20,26 +16,36 @@ CsvWriter::addRow(const std::vector<std::string> &cells)
     ++rows_;
 }
 
+bool
+CsvWriter::ok() const
+{
+    return out_.get() != nullptr && std::ferror(out_.get()) == 0;
+}
+
 void
 CsvWriter::writeRow(const std::vector<std::string> &cells)
 {
+    if (!out_.get())
+        return;
+    line_.clear();
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (i)
-            out_ << ',';
+            line_ += ',';
         const std::string &c = cells[i];
         if (c.find_first_of(",\"\n") != std::string::npos) {
-            out_ << '"';
+            line_ += '"';
             for (char ch : c) {
                 if (ch == '"')
-                    out_ << '"';
-                out_ << ch;
+                    line_ += '"';
+                line_ += ch;
             }
-            out_ << '"';
+            line_ += '"';
         } else {
-            out_ << c;
+            line_ += c;
         }
     }
-    out_ << '\n';
+    line_ += '\n';
+    std::fwrite(line_.data(), 1, line_.size(), out_.get());
 }
 
 } // namespace coserve

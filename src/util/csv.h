@@ -7,9 +7,10 @@
 #ifndef COSERVE_UTIL_CSV_H
 #define COSERVE_UTIL_CSV_H
 
-#include <fstream>
 #include <string>
 #include <vector>
+
+#include "util/output_file.h"
 
 namespace coserve {
 
@@ -18,8 +19,9 @@ class CsvWriter
 {
   public:
     /**
-     * Open @p path for writing and emit the header row.
-     * fatal()s if the file cannot be opened.
+     * Open @p path for writing (see OutputFile for the replace rule)
+     * and emit the header row. A failed open is reported by ok() and
+     * close(); rows are then dropped.
      */
     CsvWriter(const std::string &path, std::vector<std::string> header);
 
@@ -29,10 +31,18 @@ class CsvWriter
     /** @return number of data rows written. */
     std::size_t rows() const { return rows_; }
 
+    /** @return true while the file is open and no write has failed. */
+    bool ok() const;
+
+    /** Flush and close; @return true when every write landed. */
+    bool close() { return out_.close(); }
+
   private:
     void writeRow(const std::vector<std::string> &cells);
 
-    std::ofstream out_;
+    OutputFile out_;
+    /** Row being rendered; reused so each row is one fwrite. */
+    std::string line_;
     std::size_t rows_ = 0;
 };
 

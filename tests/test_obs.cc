@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -102,7 +105,7 @@ TEST(ObsMetricsTest, WriteJsonEmitsEveryMetric)
     reg.counter("cluster.images").add(42);
     reg.gauge("cluster.throughput").set(3.5);
     const std::string path = tempPath("obs_metrics.json");
-    ASSERT_TRUE(reg.writeJson(path));
+    ASSERT_TRUE(reg.snapshot().writeJson(path));
     const std::string json = readFileText(path);
     EXPECT_NE(json.find("\"cluster.images\""), std::string::npos);
     EXPECT_NE(json.find("\"cluster.throughput\""), std::string::npos);
@@ -150,6 +153,87 @@ TEST(ObsTraceTest, JsonIsByteStableAndCarriesRequiredFields)
     EXPECT_NE(json.find("\"dur\""), std::string::npos);
 }
 
+/**
+ * Every row shape the renderer emits: metadata; an 'X' span with
+ * 'dur'; 'i' instants; an 's'/'f' flow pair; 0, 1 and 3 args with
+ * negative values; sub-microsecond remainders 0, 5, 50 and 999 ns;
+ * a timestamp above 2^32 ns; a negative one; and a cross-pid
+ * timestamp tie.
+ */
+void
+recordPinnedFixture(obs::Tracer &tracer)
+{
+    obs::ReplicaTracer *coord = tracer.replica(0);
+    coord->setProcessName("coordinator");
+    coord->setThreadName(0, "coordinator");
+    obs::ReplicaTracer *rep = tracer.replica(1);
+    rep->setProcessName("replica0");
+    rep->setThreadName(1, "executor0");
+    rep->setThreadName(2, "executor1");
+
+    rep->span("batch", 1, 1'000'000, 3'000'050, {"expert", 4},
+              {"size", 3}, {"delta", -7});
+    rep->span("load", 2, 1'500'999, 1'700'000);
+    coord->instant("route", 0, 2'000'005, {"replica", 1});
+    rep->instant("admit", 1, 2'000'005);
+    rep->flow("detect chain", 1, 3'000'050, 99, true);
+    rep->flow("detect chain", 2, 4'000'999, 99, false);
+    coord->instant("skew", 0, -1'500);
+    coord->span("coordinator", 0, 5'000'000'123, 5'000'250'000,
+                {"offset", -1'234'567'890'123});
+}
+
+TEST(ObsTraceTest, JsonBytesArePinned)
+{
+    obs::Tracer tracer(2);
+    recordPinnedFixture(tracer);
+    const char *expected = R"json({"traceEvents":[
+{"ph":"M","ts":0.000,"pid":0,"tid":0,"name":"process_name","args":{"name":"coordinator"}},
+{"ph":"M","ts":0.000,"pid":0,"tid":0,"name":"thread_name","args":{"name":"coordinator"}},
+{"ph":"M","ts":0.000,"pid":1,"tid":0,"name":"process_name","args":{"name":"replica0"}},
+{"ph":"M","ts":0.000,"pid":1,"tid":1,"name":"thread_name","args":{"name":"executor0"}},
+{"ph":"M","ts":0.000,"pid":1,"tid":2,"name":"thread_name","args":{"name":"executor1"}},
+{"ph":"i","ts":-1.-500,"pid":0,"tid":0,"name":"skew","s":"t"},
+{"ph":"X","ts":1000.000,"dur":2000.050,"pid":1,"tid":1,"name":"batch","args":{"expert":4,"size":3,"delta":-7}},
+{"ph":"X","ts":1500.999,"dur":199.001,"pid":1,"tid":2,"name":"load"},
+{"ph":"i","ts":2000.005,"pid":0,"tid":0,"name":"route","s":"t","args":{"replica":1}},
+{"ph":"i","ts":2000.005,"pid":1,"tid":1,"name":"admit","s":"t"},
+{"ph":"s","ts":3000.050,"pid":1,"tid":1,"name":"detect chain","id":99},
+{"ph":"f","ts":4000.999,"pid":1,"tid":2,"name":"detect chain","id":99,"bp":"e"},
+{"ph":"X","ts":5000000.123,"dur":249.877,"pid":0,"tid":0,"name":"coordinator","args":{"offset":-1234567890123}}
+],"displayTimeUnit":"ms"}
+)json";
+    EXPECT_EQ(tracer.toJson(), expected);
+}
+
+TEST(ObsTraceTest, WriteFileStreamsTheToJsonBytesAcrossBlocks)
+{
+    // Several hundred KiB of events plus one thread name longer than a
+    // 64 KiB block: the streamed file must equal the in-memory render
+    // byte for byte across every block boundary.
+    obs::Tracer tracer(3);
+    recordPinnedFixture(tracer);
+    tracer.replica(2)->setThreadName(7, std::string(70'000, 'n'));
+    static const char *const kNames[] = {"batch", "queue wait", "load"};
+    for (int i = 0; i < 5000; ++i) {
+        const Time start = 1'000'003ll * i + i % 1000;
+        tracer.replica(1 + i % 2)->span(
+            kNames[i % 3], i % 4, start, start + 997 * (i % 13),
+            {"expert", i % 97}, {"size", -i}, {"seq", i});
+    }
+    const std::string json = tracer.toJson();
+    // About ten blocks of text. The pinned size and the intact long
+    // name catch a byte dropped or doubled at a block seam, which a
+    // writeFile-vs-toJson comparison alone cannot (both share it).
+    EXPECT_EQ(json.size(), 659'811u);
+    EXPECT_NE(json.find("\"name\":\"" + std::string(70'000, 'n') + "\""),
+              std::string::npos);
+    const std::string path = tempPath("obs_blocks_trace.json");
+    ASSERT_TRUE(tracer.writeFile(path));
+    EXPECT_EQ(readFileText(path), json);
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------------- host profile
 
 TEST(ObsHostProfileTest, ExportAccumulatesPerPhaseGauges)
@@ -166,6 +250,146 @@ TEST(ObsHostProfileTest, ExportAccumulatesPerPhaseGauges)
     EXPECT_DOUBLE_EQ(snap.value("host.route_shard_calls", -1), 2.0);
     EXPECT_DOUBLE_EQ(snap.value("host.scheduling_us", -1), 500.0);
     EXPECT_DOUBLE_EQ(snap.value("host.scheduling_calls", -1), 16.0);
+}
+
+// ---------------------------------------------------- telemetry outputs
+
+/** A Telemetry with all three outputs under @p tag and one of each. */
+obs::TelemetryConfig
+outputConfig(const std::string &tag)
+{
+    obs::TelemetryConfig cfg;
+    cfg.enabled = true;
+    cfg.tracePath = tempPath(tag + "_trace.json");
+    cfg.metricsJsonPath = tempPath(tag + "_metrics.json");
+    cfg.metricsCsvPath = tempPath(tag + "_metrics.csv");
+    return cfg;
+}
+
+/** Record a trace event, a counter and a sampler row; then finish. */
+bool
+finishTelemetry(const obs::TelemetryConfig &cfg,
+                obs::MetricsSnapshot &snap)
+{
+    obs::Telemetry telem(cfg, 1);
+    telem.coordinatorTracer()->instant("route", 0, milliseconds(1));
+    telem.registry().counter("cluster.images").add(3);
+    obs::SampleRow row;
+    row.t = telem.nextSampleTime();
+    row.images = 3;
+    telem.recordSample(row);
+    return telem.finish(snap);
+}
+
+/** The three output path fields of a TelemetryConfig. */
+std::string obs::TelemetryConfig::*const kOutputPaths[] = {
+    &obs::TelemetryConfig::tracePath,
+    &obs::TelemetryConfig::metricsJsonPath,
+    &obs::TelemetryConfig::metricsCsvPath,
+};
+
+bool
+isCharDevice(const char *path)
+{
+    struct stat st;
+    return ::stat(path, &st) == 0 && S_ISCHR(st.st_mode);
+}
+
+TEST(ObsTelemetryOutputTest, FullDeviceFailsFinishWithoutAborting)
+{
+    if (!isCharDevice("/dev/full"))
+        GTEST_SKIP() << "/dev/full is not available";
+    for (auto field : kOutputPaths) {
+        obs::TelemetryConfig cfg = outputConfig("obs_full");
+        cfg.*field = "/dev/full";
+        obs::MetricsSnapshot snap;
+        // The write lands in the stdio buffer; ENOSPC surfaces only at
+        // the final flush, which close must report.
+        EXPECT_FALSE(finishTelemetry(cfg, snap)) << cfg.*field;
+        EXPECT_DOUBLE_EQ(snap.value("cluster.images", -1), 3.0);
+        // A device is written through, never replaced.
+        EXPECT_TRUE(isCharDevice("/dev/full"));
+        for (auto other : kOutputPaths) {
+            if (other != field)
+                std::remove((cfg.*other).c_str());
+        }
+    }
+}
+
+TEST(ObsTelemetryOutputTest, MissingDirectoryFailsFinish)
+{
+    for (auto field : kOutputPaths) {
+        obs::TelemetryConfig cfg = outputConfig("obs_missing");
+        cfg.*field = tempPath("obs_no_such_dir/out");
+        obs::MetricsSnapshot snap;
+        EXPECT_FALSE(finishTelemetry(cfg, snap)) << cfg.*field;
+        for (auto other : kOutputPaths) {
+            if (other != field)
+                std::remove((cfg.*other).c_str());
+        }
+    }
+}
+
+TEST(ObsTelemetryOutputTest, ReplacesFilesAndWritesThroughLinks)
+{
+    // Stale contents longer than any new output: a short write that
+    // left a tail behind would show.
+    const std::string stale(1 << 16, 'x');
+    const auto writeStale = [&stale](const std::string &path) {
+        std::ofstream(path, std::ios::binary) << stale;
+    };
+
+    // Existing regular files are replaced.
+    const obs::TelemetryConfig plain = outputConfig("obs_replace");
+    for (auto field : kOutputPaths)
+        writeStale(plain.*field);
+    obs::MetricsSnapshot snap;
+    ASSERT_TRUE(finishTelemetry(plain, snap));
+    std::vector<std::string> fresh;
+    for (auto field : kOutputPaths) {
+        fresh.push_back(readFileText(plain.*field));
+        EXPECT_EQ(fresh.back().find('x'), std::string::npos)
+            << plain.*field;
+    }
+    EXPECT_NE(fresh[0].find("\"route\""), std::string::npos);
+    EXPECT_NE(fresh[1].find("\"cluster.images\": 3"),
+              std::string::npos);
+    EXPECT_EQ(fresh[2].rfind("t_s,", 0), 0u);
+
+    // A symlink is written through: the target gets the new contents
+    // and the link stays a link. A hard-linked file is truncated in
+    // place, so every name sees the new contents.
+    const obs::TelemetryConfig linked = outputConfig("obs_linked");
+    std::vector<std::string> targets;
+    for (auto field : kOutputPaths) {
+        const std::string &path = linked.*field;
+        targets.push_back(path + ".target");
+        writeStale(targets.back());
+        std::remove(path.c_str());
+    }
+    ASSERT_EQ(::symlink(targets[0].c_str(), linked.tracePath.c_str()), 0);
+    ASSERT_EQ(::symlink(targets[2].c_str(),
+                        linked.metricsCsvPath.c_str()),
+              0);
+    ASSERT_EQ(::link(targets[1].c_str(), linked.metricsJsonPath.c_str()),
+              0);
+    ASSERT_TRUE(finishTelemetry(linked, snap));
+    for (std::size_t i = 0; i < targets.size(); ++i)
+        EXPECT_EQ(readFileText(targets[i]), fresh[i]) << targets[i];
+    struct stat st;
+    ASSERT_EQ(::lstat(linked.tracePath.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISLNK(st.st_mode));
+    ASSERT_EQ(::lstat(linked.metricsCsvPath.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISLNK(st.st_mode));
+    ASSERT_EQ(::lstat(linked.metricsJsonPath.c_str(), &st), 0);
+    EXPECT_EQ(st.st_nlink, 2u);
+
+    for (auto field : kOutputPaths) {
+        std::remove((plain.*field).c_str());
+        std::remove((linked.*field).c_str());
+    }
+    for (const std::string &t : targets)
+        std::remove(t.c_str());
 }
 
 // ------------------------------------------------------ cluster fixture
@@ -332,6 +556,13 @@ TEST_F(ObsFixture, TelemetryOnLeavesScheduleByteIdentical)
     EXPECT_FALSE(readFileText(on.telemetry.tracePath).empty());
     EXPECT_FALSE(readFileText(on.telemetry.metricsJsonPath).empty());
     EXPECT_FALSE(readFileText(on.telemetry.metricsCsvPath).empty());
+    // The result carries the one snapshot the run wrote as JSON, host
+    // gauges included.
+    const std::string again = tempPath("obs_onoff_again.json");
+    ASSERT_TRUE(ron.metrics.writeJson(again));
+    EXPECT_EQ(readFileText(again),
+              readFileText(on.telemetry.metricsJsonPath));
+    std::remove(again.c_str());
     removeOutputs(on);
 }
 

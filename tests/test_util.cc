@@ -249,6 +249,8 @@ TEST(CsvTest, WritesQuotedCells)
         w.addRow({"plain", "with,comma"});
         w.addRow({"with\"quote", "x"});
         EXPECT_EQ(w.rows(), 2u);
+        EXPECT_TRUE(w.ok());
+        EXPECT_TRUE(w.close());
     }
     std::ifstream in(path);
     std::string line;
@@ -257,6 +259,14 @@ TEST(CsvTest, WritesQuotedCells)
     std::getline(in, line);
     EXPECT_EQ(line, "plain,\"with,comma\"");
     std::remove(path.c_str());
+}
+
+TEST(CsvTest, OpenFailureIsReportedNotFatal)
+{
+    CsvWriter w("/nonexistent-dir/coserve_csv_test.csv", {"a"});
+    EXPECT_FALSE(w.ok());
+    w.addRow({"dropped"});
+    EXPECT_FALSE(w.close());
 }
 
 } // namespace
