@@ -1,8 +1,8 @@
 /**
  * @file
  * Figure 22 (extension) — online cluster scheduling: static
- * (route-then-shard) vs. online (live-load routing at arrival time)
- * vs. online + work stealing, under the workloads where the static
+ * (routes pinned up front) vs. online (live-load routing at arrival
+ * time) vs. online + work stealing, under the workloads where the static
  * router's private residency/finish model drifts furthest from what
  * the replicas actually do:
  *
@@ -17,9 +17,10 @@
  *     and therefore the backlog — and the idle UMA pair steals from
  *     them (ClusterResult::stolenRequests > 0).
  *
- * Online-mode runs are coordinator-sequential on the shared virtual
- * clock, so every printed number is reproducible regardless of
- * ClusterConfig::parallel.
+ * Every run is driven by the coordinator on the shared virtual clock
+ * (clean static replicas step on their own threads, which never
+ * changes a result), so every printed number is
+ * reproducible.
  */
 
 #include "bench/bench_util.h"

@@ -3,7 +3,7 @@
  * Figure 24 (extension): per-class goodput under injected failures.
  *
  * Serves one multi-tenant SLO trace on a 4-replica cluster in three
- * coordination modes — static route-then-shard, online + work
+ * coordination modes — static pinned routing, online + work
  * stealing, online + stealing + autoscale — under three fault plans:
  * clean, one replica crashing at peak load, and crash plus a straggler
  * window on a second replica. Reports aggregate and interactive-class

@@ -3,7 +3,7 @@
  * Figure 25: preemptive checkpoint/restore and live migration.
  *
  * Serves one bursty multi-tenant SLO trace on a 3-replica cluster in
- * four coordination modes — static route-then-shard, online
+ * four coordination modes — static pinned routing, online
  * (steal + admission + autoscale), online + deadline-rescue
  * preemption, online + preemption + live migration — under a clean
  * plan and a crash-at-peak plan. Reports interactive-class goodput

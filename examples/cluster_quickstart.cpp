@@ -5,7 +5,7 @@
  * Builds a toy CoE model, runs the offline phase once, then serves a
  * saturating workload with 1 and 4 CoServe replicas behind the
  * least-loaded cluster dispatcher, printing the aggregate metrics and
- * the per-replica load split — first with static (route-then-shard)
+ * the per-replica load split — first with static (pinned-route)
  * dispatch, then with the online coordinator (live-load routing +
  * cross-replica work stealing).
  *

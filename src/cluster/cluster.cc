@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "core/scheduler.h"
 #include "metrics/report.h"
@@ -216,9 +217,9 @@ ClusterConfig::validate(const RunOptions &opts) const
         }
         if (!online && !opts.faults.any()) {
             errors.push_back(
-                "preemption.migration requires the coordinator path "
-                "(online mode or a fault plan): static sharded "
-                "replicas cannot exchange in-flight groups");
+                "preemption.migration needs online mode or a fault "
+                "plan: a clean static run has nothing that moves "
+                "checkpointed groups between replicas");
         }
     }
 
@@ -233,24 +234,10 @@ ClusterConfig::validate(const RunOptions &opts) const
         }
     }
 
-    const bool recording = !opts.recordPath.empty();
-    const bool replaying = !opts.replayPath.empty();
-    if (recording && replaying && opts.recordPath == opts.replayPath) {
+    if (!opts.recordPath.empty() && opts.recordPath == opts.replayPath) {
         errors.push_back(
             "recordPath and replayPath must differ (replay reads the "
             "log the run would overwrite)");
-    }
-    // A parallel static run with a shared CPU tier is the one
-    // configuration whose results depend on host thread scheduling:
-    // its decision stream is recordable (routing is precomputed) but
-    // nothing else about it replays bit-identically. Fault runs take
-    // the sequential coordinator path and stay deterministic.
-    if ((recording || replaying) && !online && !opts.faults.any() &&
-        parallel && sharedCpu.enabled) {
-        errors.push_back(
-            "record/replay of a parallel static run with a shared CPU "
-            "tier is nondeterministic: set parallel = false or run "
-            "online");
     }
 
     const obs::TelemetryConfig &tel = opts.telemetry;
@@ -262,14 +249,6 @@ ClusterConfig::validate(const RunOptions &opts) const
     }
     if (tel.enabled && tel.sampleInterval <= 0)
         errors.push_back("telemetry.sampleInterval must be > 0");
-    // The epoch sampler lives in the coordinator's time race; a static
-    // sharded run has no shared stepping loop to sample from.
-    if (tel.enabled && !tel.metricsCsvPath.empty() && !online &&
-        !opts.faults.any()) {
-        errors.push_back(
-            "telemetry.metricsCsvPath (epoch sampling) requires the "
-            "coordinator path (online mode or a fault plan)");
-    }
 
     std::vector<char> crashSeen(n, 0);
     for (const ReplicaCrash &c : opts.faults.crashes) {
@@ -391,14 +370,9 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     obs::Telemetry telem(opts.telemetry,
                          static_cast<int>(cfg_.replicas.size()));
 
-    // Fault plans need every replica on the shared clock even in
-    // static mode (a crash interrupts mid-run), so they take the
-    // coordinator path with routing pinned to the offline assignment.
-    const bool online = cfg_.resolveMode(opts) == RunMode::Online;
-    ClusterResult out =
-        online || opts.faults.any()
-            ? runCoordinated(trace, opts, online, decisions, telem)
-            : runSharded(trace, decisions, telem);
+    ClusterResult out = runCoordinated(
+        trace, opts, cfg_.resolveMode(opts) == RunMode::Online, decisions,
+        telem);
 
     decisions.finish();
     out.decisionDigest = decisions.log().digest();
@@ -462,56 +436,6 @@ ClusterEngine::appendSharedTierStats(ClusterResult &out,
     mergeTierStats(out.tiers, tier->diskStats());
 }
 
-ClusterResult
-ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
-                          obs::Telemetry &telem)
-{
-    const WallTimer routeWall;
-    const std::vector<std::size_t> assignment = routeTrace(trace);
-    // The route stream *is* the static coordinator's decision stream:
-    // digesting it here keeps static runs replay-checkable and their
-    // digests identical to a fault-free pinned-routing coordinator run.
-    for (std::size_t i = 0; i < trace.arrivals.size(); ++i) {
-        decisions.note({trace.arrivals[i].time, DecisionKind::Route,
-                        static_cast<std::uint64_t>(i),
-                        static_cast<std::uint64_t>(assignment[i]), 0});
-    }
-    const std::vector<Trace> shards =
-        shardTrace(trace, assignment, cfg_.replicas.size());
-    telem.host().add("route_shard", routeWall.elapsedMicros());
-
-    std::unique_ptr<SharedCpuTier> sharedCpu = makeSharedCpuTier();
-
-    const auto runReplica = [this, &shards, &sharedCpu,
-                             &telem](std::size_t i, RunResult &out) {
-        out = makeReplicaEngine(i, sharedCpu.get(), telem)
-                  ->run(shards[i]);
-    };
-
-    std::vector<RunResult> results(cfg_.replicas.size());
-    const WallTimer wall;
-    if (cfg_.parallel) {
-        std::vector<std::thread> threads;
-        threads.reserve(cfg_.replicas.size());
-        for (std::size_t i = 0; i < cfg_.replicas.size(); ++i)
-            threads.emplace_back(runReplica, i, std::ref(results[i]));
-        for (std::thread &t : threads)
-            t.join();
-    } else {
-        for (std::size_t i = 0; i < cfg_.replicas.size(); ++i)
-            runReplica(i, results[i]);
-    }
-    telem.host().add("replica_run", wall.elapsedMicros());
-    const WallTimer collectWall;
-    ClusterResult out = aggregateClusterResult(
-        cfg_.label, toString(cfg_.routing), std::move(results));
-    out.wallSeconds = wall.elapsedSeconds();
-    telem.host().add("collect", collectWall.elapsedMicros());
-    out.preemptionEnabled = cfg_.preemption.enabled;
-    appendSharedTierStats(out, sharedCpu.get());
-    return out;
-}
-
 std::unique_ptr<ServingEngine>
 ClusterEngine::makeReplicaEngine(std::size_t i,
                                  SharedCpuTier *sharedCpu,
@@ -523,9 +447,9 @@ ClusterEngine::makeReplicaEngine(std::size_t i,
     if (sharedCpu != nullptr)
         cfg.externalCpuTier = sharedCpu;
     // This replica's span-trace buffer (null unless telemetry is
-    // enabled). The buffer is pre-created by the Telemetry ctor, so
-    // construction inside a replica thread (static-parallel mode)
-    // never races.
+    // enabled). The buffer is pre-created by the Telemetry ctor, so a
+    // replica stepping on its own segment thread never races another
+    // for it.
     cfg.tracer = telem.replicaTracer(static_cast<int>(i));
     // Cluster-level preemption policy applies uniformly: migration
     // break-even and hysteresis must agree across replicas or a group
@@ -544,14 +468,18 @@ ClusterEngine::runCoordinated(const Trace &trace,
     const std::size_t n = cfg_.replicas.size();
     std::unique_ptr<SharedCpuTier> sharedCpu = makeSharedCpuTier();
 
-    // Engine construction and preload count toward wallSeconds, as
-    // they do inside static mode's per-replica threads — otherwise
-    // the modes' host-time comparison is skewed.
+    // Static mode pins routing to the offline assignment; re-homing
+    // applies only when the assigned replica has crashed. Routing
+    // counts toward the "build" host phase but not toward wallSeconds,
+    // which times the replicas from construction to collection.
+    const WallTimer buildWall;
+    std::vector<std::size_t> assignment;
+    if (!liveRouting)
+        assignment = routeTrace(trace);
     const WallTimer wall;
 
-    // Build all replica engines up front; the coordinator steps them
-    // in lockstep, so — unlike static sharding — they never run on
-    // their own threads and `parallel` is irrelevant.
+    // Build all replica engines up front; the coordinator steps them,
+    // in lockstep or (independent replicas) on segment threads.
     std::vector<std::unique_ptr<ServingEngine>> engines;
     engines.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -561,7 +489,7 @@ ClusterEngine::runCoordinated(const Trace &trace,
         engines.back()->beginOnline(static_cast<RequestId>(i),
                                     static_cast<RequestId>(n));
     }
-    telem.host().add("build", wall.elapsedMicros());
+    telem.host().add("build", buildWall.elapsedMicros());
 
     // ----- observability ---------------------------------------------
     //
@@ -581,12 +509,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         router = makeRouter(cfg_.routing,
                             cfg_.replicas.front().ctx->model(), views);
     }
-    // Static under faults: routing pinned to the offline assignment,
-    // exactly what runSharded would execute — re-homing applies only
-    // when the assigned replica has crashed.
-    std::vector<std::size_t> assignment;
-    if (!liveRouting)
-        assignment = routeTrace(trace);
 
     // ----- fault schedule --------------------------------------------
     const std::vector<FaultAction> faults =
@@ -650,22 +572,23 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // are part of the replayable schedule: drained into the decision
     // stream in replica order after every step, so the interleaving is
     // deterministic.
+    const auto notePreempt = [&](std::size_t i, const PreemptEvent &ev) {
+        DecisionKind kind = DecisionKind::Preempt;
+        if (ev.what == PreemptEvent::What::Checkpoint)
+            kind = DecisionKind::Checkpoint;
+        else if (ev.what == PreemptEvent::What::Restore)
+            kind = DecisionKind::Restore;
+        decisions.note({ev.time, kind, static_cast<std::uint64_t>(i),
+                        static_cast<std::uint64_t>(ev.executor),
+                        ev.count});
+    };
     const auto drainPreempt = [&](std::size_t i) {
         if (!preemptOn)
             return;
         pevBuf.clear();
         engines[i]->drainPreemptEvents(pevBuf);
-        for (const PreemptEvent &ev : pevBuf) {
-            DecisionKind kind = DecisionKind::Preempt;
-            if (ev.what == PreemptEvent::What::Checkpoint)
-                kind = DecisionKind::Checkpoint;
-            else if (ev.what == PreemptEvent::What::Restore)
-                kind = DecisionKind::Restore;
-            decisions.note({ev.time, kind,
-                            static_cast<std::uint64_t>(i),
-                            static_cast<std::uint64_t>(ev.executor),
-                            ev.count});
-        }
+        for (const PreemptEvent &ev : pevBuf)
+            notePreempt(i, ev);
     };
     // Routes completed checkpoint saves out of replica outboxes; bound
     // below, after the capability filters exist (stepAll needs it).
@@ -1359,6 +1282,119 @@ ClusterEngine::runCoordinated(const Trace &trace,
         telem.recordSample(row);
     };
 
+    // Where arrival @p idx goes, given the replica @p r it was routed
+    // (or pinned) to. Offline-fallback routers (round-robin) ignore
+    // the acceptingWork gate, and a pinned static assignment may point
+    // at a replica that crashed since routing: re-home onto the next
+    // active capable replica. If none exists (possible only on a
+    // pathological heterogeneous config), serve on the quiesced pick
+    // rather than lose the image — unless it crashed, in which case
+    // the image is genuinely lost and recorded with the out-of-range
+    // sentinel replica `n`, so replays still cover it. @return the
+    // serving replica, or n when the image is lost.
+    const auto placeArrival = [&](const ImageArrival &a,
+                                  std::uint64_t idx, std::size_t r) {
+        if (!active[r]) {
+            for (std::size_t j = 0; j < n; ++j) {
+                const std::size_t i = (r + j) % n;
+                if (active[i] && caps.chainServes(i, a.component)) {
+                    r = i;
+                    break;
+                }
+            }
+        }
+        if (crashed[r]) {
+            lostImages += 1;
+            if (coordTr != nullptr) {
+                coordTr->instant(
+                    "route (lost)", 0, a.time,
+                    {"image", static_cast<std::int64_t>(idx)});
+            }
+            decisions.note({a.time, DecisionKind::Route, idx,
+                            static_cast<std::uint64_t>(n), 0});
+            return n;
+        }
+        decisions.note({a.time, DecisionKind::Route, idx,
+                        static_cast<std::uint64_t>(r), 0});
+        if (coordTr != nullptr) {
+            coordTr->instant("route", 0, a.time,
+                             {"image", static_cast<std::int64_t>(idx)},
+                             {"replica", static_cast<std::int64_t>(r)});
+        }
+        return r;
+    };
+
+    COSERVE_CHECK(std::is_sorted(trace.arrivals.begin(),
+                                 trace.arrivals.end(),
+                                 [](const ImageArrival &x,
+                                    const ImageArrival &y) {
+                                     return x.time < y.time;
+                                 }),
+                  "cluster runs need time-sorted arrivals");
+    std::size_t next = 0;
+
+    // ----- independent replicas --------------------------------------
+    //
+    // With routing pinned, no shared CPU tier, no migration and no
+    // fault plan, nothing couples the replicas, so an arrival is not a
+    // coordinator decision. The first segment admits every arrival
+    // onto its pinned replica; each segment then steps every replica
+    // on its own thread to just before the next sampler tick (to idle
+    // when none is due), and the loop's sample branch records the
+    // tick. A clean static run without a sampler is a single segment.
+    // Preemption records are noted after the join merged by (time,
+    // replica), so the decision stream is the same wherever the ticks
+    // cut it: sampling stays pure observation. Fault actions do couple
+    // the replicas (a crash re-homes pinned arrivals, and events at
+    // the fault time must run before it), so fault runs take the
+    // lockstep loop.
+    const bool independent = !liveRouting && sharedCpu == nullptr &&
+                             !migrationOn && faults.empty();
+    std::vector<std::pair<PreemptEvent, std::size_t>> segmentPreempts;
+    const auto runSegment = [&]() {
+        // Nothing crashes here, so placeArrival keeps the pinned
+        // replica; it notes the Route records.
+        const std::size_t from = next;
+        for (; next < trace.arrivals.size(); ++next) {
+            assignment[next] =
+                placeArrival(trace.arrivals[next], next, assignment[next]);
+        }
+        const Time cut = telem.nextSampleTime();
+        // Stepping to kTimeNever runs to idle (the clock stays at the
+        // replica's last event).
+        const Time until = cut == kTimeNever ? kTimeNever : cut - 1;
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (from == next && engines[i]->nextEventTime() > until)
+                continue;
+            threads.emplace_back([&, i, from, to = next]() {
+                for (std::size_t idx = from; idx < to; ++idx) {
+                    if (assignment[idx] == i)
+                        engines[i]->admitArrival(trace.arrivals[idx]);
+                }
+                engines[i]->stepUntil(until);
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+        if (!preemptOn)
+            return;
+        segmentPreempts.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            pevBuf.clear();
+            engines[i]->drainPreemptEvents(pevBuf);
+            for (const PreemptEvent &ev : pevBuf)
+                segmentPreempts.emplace_back(ev, i);
+        }
+        // Stable: a replica's same-time records keep their own order.
+        std::stable_sort(segmentPreempts.begin(), segmentPreempts.end(),
+                         [](const auto &x, const auto &y) {
+                             return x.first.time < y.first.time;
+                         });
+        for (const auto &[ev, i] : segmentPreempts)
+            notePreempt(i, ev);
+    };
+
     // Lockstep coordination on the shared virtual clock: the next
     // thing that happens cluster-wide is the earliest of the next
     // pending replica event, the next arrival, the next fault action,
@@ -1369,19 +1405,15 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // state as of the arrival instant. Everything is driven by virtual
     // time, so the schedule is reproducible by construction. Fault
     // actions scheduled after the last arrival and event are never
-    // applied (there is nothing left for them to affect).
-    std::size_t next = 0;
-    Time lastArrival = 0;
+    // applied (there is nothing left for them to affect). Independent
+    // replicas reach the sample branch only, one segment at a time.
     const WallTimer coordWall;
     for (;;) {
+        if (independent)
+            runSegment();
         const Time tArr = next < trace.arrivals.size()
                               ? trace.arrivals[next].time
                               : kTimeNever;
-        if (tArr != kTimeNever) {
-            COSERVE_CHECK(tArr >= lastArrival,
-                          "online routing needs time-sorted arrivals");
-            lastArrival = tArr;
-        }
         Time tEv = kTimeNever;
         for (const auto &engine : engines)
             tEv = std::min(tEv, engine->nextEventTime());
@@ -1486,45 +1518,9 @@ ClusterEngine::runCoordinated(const Trace &trace,
             } else {
                 r = assignment[idx];
             }
-            if (!active[r]) {
-                // Offline-fallback routers (round-robin) ignore the
-                // acceptingWork gate, and a pinned static assignment
-                // may point at a replica that crashed since routing:
-                // re-home onto the next active capable replica. If
-                // none exists (possible only on a pathological
-                // heterogeneous config), serve on the quiesced pick
-                // rather than lose the image — unless it crashed, in
-                // which case the image is genuinely lost.
-                for (std::size_t j = 0; j < n; ++j) {
-                    const std::size_t i = (r + j) % n;
-                    if (active[i] && caps.chainServes(i, a.component)) {
-                        r = i;
-                        break;
-                    }
-                }
-            }
-            if (crashed[r]) {
-                // No survivor can serve this arrival's chain. Record
-                // the drop with the out-of-range sentinel replica `n`
-                // so replays still cover it.
-                lostImages += 1;
-                if (coordTr != nullptr) {
-                    coordTr->instant(
-                        "route (lost)", 0, a.time,
-                        {"image", static_cast<std::int64_t>(idx)});
-                }
-                decisions.note({a.time, DecisionKind::Route, idx,
-                                static_cast<std::uint64_t>(n), 0});
+            r = placeArrival(a, idx, r);
+            if (r == n)
                 continue;
-            }
-            decisions.note({a.time, DecisionKind::Route, idx,
-                            static_cast<std::uint64_t>(r), 0});
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "route", 0, a.time,
-                    {"image", static_cast<std::int64_t>(idx)},
-                    {"replica", static_cast<std::int64_t>(r)});
-            }
             engines[r]->admitArrival(a);
             // Execute the admission's dispatch now, so a same-time
             // burst of arrivals sees each predecessor in the queues
@@ -1603,7 +1599,7 @@ ClusterEngine::runCoordinated(const Trace &trace,
     appendSharedTierStats(out, sharedCpu.get());
 
     // The coordinator's own counters go into the registry once, from
-    // the tallies above; static sharded runs have none to export.
+    // the tallies above (zero where a feature was off).
     obs::MetricsRegistry &reg = telem.registry();
     const auto count = [&reg](const char *name, std::int64_t v) {
         reg.counter(name).add(v);

@@ -10,17 +10,20 @@
  *     ClusterResult r = engine.run(trace, opts);
  *
  * RunOptions selects the execution mode (static pre-routing vs online
- * lockstep coordination), optional decision-log recording or replay,
- * and an optional fault plan (replay/fault_plan.h). The two modes:
+ * routing), optional decision-log recording or replay, and an optional
+ * fault plan (replay/fault_plan.h). Both modes run through one
+ * coordinator on the shared virtual clock:
  *
- *  - static: route every arrival to one replica up front, shard the
- *    trace, execute the replicas concurrently on std::thread (each
- *    replica keeps its own discrete-event queue; all shards stay on
- *    one shared virtual clock) and merge the per-replica RunResults;
- *  - online: a coordinator steps all replicas in lockstep on the
- *    shared virtual clock, routes each arrival at its arrival time
- *    from live replica state, and — per ClusterConfig policy groups —
- *    steals work, admits against SLOs, and autoscales.
+ *  - static: every arrival is pinned to the replica the offline router
+ *    picks up front. With no shared CPU tier, no migration and no
+ *    fault plan the replicas cannot interact, so the coordinator
+ *    admits each replica's arrivals and steps it on its own
+ *    std::thread up to the next sampler tick (to idle without a
+ *    sampler); otherwise it steps them in lockstep;
+ *  - online: the coordinator steps all replicas in lockstep, routes
+ *    each arrival at its arrival time from live replica state, and —
+ *    per ClusterConfig policy groups — steals work, admits against
+ *    SLOs, and autoscales.
  *
  * Every coordinator decision is folded into a 64-bit semantic digest
  * (ClusterResult::decisionDigest) and can be recorded to a compact
@@ -151,7 +154,7 @@ enum class RunMode
 {
     /** Follow ClusterConfig::onlineRouting (the legacy switch). */
     Auto,
-    /** Pre-route the whole trace, shard, run replicas independently. */
+    /** Pin every arrival to its offline route (no live decisions). */
     Static,
     /** Lockstep coordinator with live routing. */
     Online,
@@ -198,31 +201,19 @@ struct ClusterConfig
 {
     std::string label = "cluster";
     RoutingPolicy routing = RoutingPolicy::LeastLoaded;
-    /**
-     * Run replicas on one std::thread each (true) or sequentially on
-     * the caller's thread (false). With private CPU tiers results are
-     * identical either way — replicas share no mutable state — so it
-     * only trades wall-clock speed against debuggability. With
-     * sharedCpu the tier's population order follows host thread
-     * scheduling, so only sequential static runs are reproducible
-     * (online mode serializes on the coordinator and ignores this).
-     */
-    bool parallel = true;
     /** Cluster-shared CPU DRAM tier policy. */
     SharedCpuPolicy sharedCpu;
     /**
-     * Online cluster scheduling: instead of pre-routing the whole
-     * trace and running replica shards in isolation, a cluster-level
-     * coordinator steps all replicas in lockstep on the shared virtual
-     * clock and routes each arrival *at its arrival time* through the
-     * router's routeLive() overload, using live replica load views
-     * (queue depth, per-executor predicted finish, actual resident
-     * experts) instead of the router's private model.
+     * Online cluster scheduling: instead of pinning every arrival to
+     * its offline route, the coordinator routes each arrival *at its
+     * arrival time* through the router's routeLive() overload, using
+     * live replica load views (queue depth, per-executor predicted
+     * finish, actual resident experts) instead of the router's private
+     * model.
      *
-     * Deterministic by construction: coordination is driven purely by
-     * the shared virtual clock, so `parallel` is ignored and results
-     * are bit-identical regardless of it — including with sharedCpu
-     * (the coordinator serializes all tier accesses).
+     * Deterministic by construction in either mode: coordination is
+     * driven purely by the shared virtual clock, and replicas that
+     * share a CPU tier are stepped in lockstep on one thread.
      *
      * This is the RunMode::Auto default; RunOptions::mode overrides.
      */
@@ -248,7 +239,7 @@ struct ClusterConfig
      * replicas — in the steal path, on autoscaler quiesce (no more
      * waiting out the longest batch) and on crash evacuation (resume
      * from the last step-boundary checkpoint instead of re-running) —
-     * and requires the coordinator path (online mode or a fault plan).
+     * and so requires online mode or a fault plan.
      * Copied into every replica's EngineConfig; off by default.
      */
     PreemptionConfig preemption;
@@ -257,9 +248,8 @@ struct ClusterConfig
     /**
      * Validate this configuration against @p opts: human-readable
      * errors for every inconsistency (online-only policies in a static
-     * run, autoscale bounds, shared-tier capacity, record/replay of a
-     * nondeterministic parallel configuration, fault-plan bounds, ...)
-     * instead of silent misbehavior. Empty means runnable;
+     * run, autoscale bounds, shared-tier capacity, fault-plan bounds,
+     * ...) instead of silent misbehavior. Empty means runnable;
      * ClusterEngine::run() rejects configs with errors.
      */
     std::vector<std::string> validate(const RunOptions &opts = {}) const;
@@ -305,14 +295,10 @@ class ClusterEngine
     ClusterResult run(const Trace &trace, const RunOptions &opts);
 
   private:
-    /** Static clean path: route offline, shard, run concurrently. */
-    ClusterResult runSharded(const Trace &trace,
-                             DecisionTrace &decisions,
-                             obs::Telemetry &telem);
     /**
-     * Coordinator path: online mode always; static mode when a fault
-     * plan needs the shared clock (routing pinned to the offline
-     * assignment, no stealing/admission/autoscale).
+     * The coordinator: live routing in online mode; in static mode
+     * routing pinned to the offline assignment, no stealing, admission
+     * or autoscale, and independent replicas stepped on threads.
      */
     ClusterResult runCoordinated(const Trace &trace,
                                  const RunOptions &opts,
@@ -325,8 +311,7 @@ class ClusterEngine
     std::vector<ReplicaView> makeReplicaViews() const;
     /**
      * Build replica @p i's engine (label suffixed, shared CPU tier
-     * attached when present) — the one construction path for both
-     * static and online modes.
+     * and span-trace buffer attached when present).
      */
     std::unique_ptr<ServingEngine>
     makeReplicaEngine(std::size_t i, SharedCpuTier *sharedCpu,

@@ -67,7 +67,8 @@ class UsageProfile
      * Compute order_/cdf_ from prob_. Called once, at construction:
      * the derived orderings used to be built lazily in the const
      * accessors, which is a data race once a profile is shared by
-     * parallel replica threads (caught by the TSan CI lane). Eager
+     * replicas stepping on their own threads (caught by the TSan CI
+     * lane). Eager
      * construction makes every accessor a plain read.
      */
     void buildDerived();

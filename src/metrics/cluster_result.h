@@ -159,8 +159,8 @@ struct ClusterResult
     std::int64_t brownoutsInjected = 0;
 
     /**
-     * Host wall-clock seconds spent executing the replicas (threaded
-     * or sequential per ClusterConfig::parallel), for speedup
+     * Host wall-clock seconds from replica construction to result
+     * collection (static pre-routing excluded), for speedup
      * reporting.
      */
     double wallSeconds = 0.0;
@@ -184,8 +184,9 @@ struct ClusterResult
 
 /**
  * Merge @p replicas into cluster-wide metrics. Replica makespans are
- * absolute times on the shared cluster clock (shards preserve arrival
- * times), so the cluster makespan is their maximum.
+ * absolute times on the shared cluster clock (arrivals keep their
+ * trace times on every replica), so the cluster makespan is their
+ * maximum.
  */
 ClusterResult aggregateClusterResult(std::string label,
                                      std::string routing,

@@ -53,7 +53,7 @@ void printComparison(const std::vector<RunResult> &results);
  * gauges (throughput, makespan, SLO aggregates and per-class
  * quantiles, per-tier counters, autoscale / quiesce-drain values).
  * The coordinator-family counters are written by the coordinator
- * itself; static sharded runs have none.
+ * itself, on every run (zero where a feature was off).
  */
 void exportClusterMetrics(const ClusterResult &result,
                           obs::MetricsRegistry &registry);

@@ -12,10 +12,11 @@
  * pid 0, replica i is pid i+1), executors as threads.
  *
  * Thread model: each replica records into its own ReplicaTracer
- * buffer, handed out *before* replica threads start, so the
- * static-parallel mode never shares a buffer. The final merge
- * concatenates buffers in pid order and stable-sorts by timestamp:
- * equal timestamps keep pid order, so the merge is deterministic.
+ * buffer, handed out *before* the coordinator starts any segment
+ * thread, so replicas stepping on their own threads never share a
+ * buffer. The final merge concatenates buffers in pid order and
+ * stable-sorts by timestamp: equal timestamps keep pid order, so the
+ * merge is deterministic.
  *
  * Export streams: one renderer writes the merged JSON through a fixed
  * 64 KiB block (literals by memcpy, integers by std::to_chars) into a

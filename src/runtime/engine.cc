@@ -667,7 +667,9 @@ ServingEngine::collectResult()
     }
 
     appendTierStats(result_.tiers);
-    return result_;
+    // Engines are single-use: hand the result (and its latency sample
+    // vectors) over instead of copying it.
+    return std::move(result_);
 }
 
 void

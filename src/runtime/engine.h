@@ -179,7 +179,8 @@ class ServingEngine
 
     /**
      * Execute all events with timestamp <= @p t and advance the clock
-     * to exactly @p t (also when no events were pending).
+     * to exactly @p t (also when no events were pending). kTimeNever
+     * runs to idle and leaves the clock at the last event.
      *
      * @return number of events executed — zero means the engine's
      *         observable state (beyond the clock) did not change, so

@@ -378,19 +378,17 @@ class DiskTier : public TierBelow
 /**
  * CPU DRAM tier shared by every replica of a cluster: one physical
  * host DRAM behind N replica engines. All accesses serialize on a
- * mutex, so replicas running on std::thread may hit it concurrently;
- * an expert demoted by replica 0 becomes a DRAM hit for replica 1.
+ * mutex; an expert demoted by replica 0 becomes a DRAM hit for
+ * replica 1.
  *
  * Recency inside the shared tier uses an internal monotonic access
- * counter, not the callers' timestamps: each replica engine runs its
- * own virtual clock, so cross-replica sim times are incomparable
- * (sequentially executed replicas would otherwise always evict the
- * *running* replica's fresh entries in favor of a finished sibling's
- * dead ones).
+ * counter, not the callers' timestamps: each replica engine keeps its
+ * own event-queue clock, and the access order is what the coordinator
+ * serializes.
  *
- * With threaded replicas the interleaving of insertions follows host
- * scheduling, so shared-tier runs are only reproducible with
- * sequential replica execution (ClusterConfig::parallel = false).
+ * The cluster coordinator steps replicas that share this tier in
+ * lockstep on one thread, so the interleaving of insertions follows
+ * the shared virtual clock and every run is reproducible.
  *
  * Every member behind mutex_ is CS_GUARDED_BY-annotated: clang's
  * `-Wthread-safety -Werror` CI lane proves at compile time that no

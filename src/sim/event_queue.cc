@@ -109,7 +109,8 @@ EventQueue::runUntil(Time until)
             break;
         runOne();
     }
-    if (now_ < until)
+    // kTimeNever is "run to idle", never a clock reading.
+    if (now_ < until && until != kTimeNever)
         now_ = until;
 }
 

@@ -89,7 +89,10 @@ class EventQueue
     /** Run until no events remain or @p maxEvents executed. */
     void run(std::uint64_t maxEvents = UINT64_MAX);
 
-    /** Run events with timestamp <= @p until (clock ends at @p until). */
+    /**
+     * Run events with timestamp <= @p until; the clock ends at
+     * @p until, or at the last event run when @p until is kTimeNever.
+     */
     void runUntil(Time until);
 
     /**

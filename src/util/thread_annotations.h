@@ -11,11 +11,12 @@
  * libstdc++'s std::mutex / std::lock_guard carry no annotations, so
  * the analysis cannot see their acquisitions — guarded state must use
  * the annotated coserve::Mutex / MutexLock wrappers (util/mutex.h)
- * instead. The only cross-thread shared structure in the tree today
- * is SharedCpuTier (runtime/memory_tier.h): static-mode replicas run
- * on their own threads but write disjoint result slots, and the
- * online coordinator steps replicas in lockstep on one thread, so
- * nothing else takes a lock. New shared state must be annotated.
+ * instead. The only lock in the tree today guards SharedCpuTier
+ * (runtime/memory_tier.h). The cluster coordinator steps replicas on
+ * their own threads only when they share no state (no shared tier,
+ * no migration, no fault plan), and steps all others in lockstep on
+ * one thread, so nothing else takes a lock. New shared state must be
+ * annotated.
  */
 
 #ifndef COSERVE_UTIL_THREAD_ANNOTATIONS_H

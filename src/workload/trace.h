@@ -39,16 +39,6 @@ struct Trace
     Trace prefix(std::size_t n) const;
 };
 
-/**
- * Split @p trace into @p numShards sub-traces following @p assignment
- * (one replica index per arrival, each < @p numShards). Arrival times
- * are preserved, so every shard stays on the cluster-wide clock and
- * per-shard makespans remain comparable. Shards may be empty.
- */
-std::vector<Trace> shardTrace(const Trace &trace,
-                              const std::vector<std::size_t> &assignment,
-                              std::size_t numShards);
-
 } // namespace coserve
 
 #endif // COSERVE_WORKLOAD_TRACE_H

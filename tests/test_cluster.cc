@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the cluster serving layer: trace sharding, routing-policy
- * behavior, single-replica equivalence with ServingEngine, and
- * ClusterResult aggregation math.
+ * Tests for the cluster serving layer: pinned static routing,
+ * routing-policy behavior, single-replica equivalence with
+ * ServingEngine, run-to-run agreement of the threaded static path
+ * (also under epoch sampling), and ClusterResult aggregation math.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
-#include <utility>
+#include <sstream>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
@@ -19,6 +22,15 @@
 
 namespace coserve {
 namespace {
+
+std::string
+readFileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
 
 /** Tiny board + tiny device cluster fixture. */
 class ClusterFixture : public ::testing::Test
@@ -48,7 +60,7 @@ class ClusterFixture : public ::testing::Test
     Trace trace_;
 };
 
-TEST_F(ClusterFixture, ShardingDispatchesEveryRequestExactlyOnce)
+TEST_F(ClusterFixture, StaticRunServesEveryRequestExactlyOnce)
 {
     for (RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
@@ -58,31 +70,18 @@ TEST_F(ClusterFixture, ShardingDispatchesEveryRequestExactlyOnce)
         const std::vector<std::size_t> assignment =
             cluster.routeTrace(trace_);
         ASSERT_EQ(assignment.size(), trace_.size());
-        for (std::size_t replica : assignment)
-            EXPECT_LT(replica, 4u);
-
-        const std::vector<Trace> shards =
-            shardTrace(trace_, assignment, 4);
-        ASSERT_EQ(shards.size(), 4u);
-
-        // Every arrival lands in exactly one shard, order preserved.
-        std::size_t total = 0;
-        std::multiset<std::pair<Time, ComponentId>> seen;
-        for (const Trace &shard : shards) {
-            total += shard.size();
-            EXPECT_TRUE(std::is_sorted(
-                shard.arrivals.begin(), shard.arrivals.end(),
-                [](const ImageArrival &a, const ImageArrival &b) {
-                    return a.time < b.time;
-                }));
-            for (const ImageArrival &a : shard.arrivals)
-                seen.insert({a.time, a.component});
+        std::vector<std::int64_t> routed(4, 0);
+        for (std::size_t replica : assignment) {
+            ASSERT_LT(replica, 4u);
+            routed[replica] += 1;
         }
-        EXPECT_EQ(total, trace_.size());
-        std::multiset<std::pair<Time, ComponentId>> expected;
-        for (const ImageArrival &a : trace_.arrivals)
-            expected.insert({a.time, a.component});
-        EXPECT_EQ(seen, expected);
+
+        // Every arrival is served once, on the replica it was
+        // routed to.
+        const ClusterResult r =
+            cluster.run(trace_, runWithMode(RunMode::Static));
+        EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
+        EXPECT_EQ(r.imagesPerReplica, routed);
     }
 }
 
@@ -171,27 +170,86 @@ TEST_F(ClusterFixture, SingleReplicaReproducesServingEngine)
     }
 }
 
-TEST_F(ClusterFixture, ParallelAndSequentialRunsAgree)
+TEST_F(ClusterFixture, RepeatedStaticRunsAgree)
 {
-    ClusterConfig seqCfg = homogeneousCluster(
-        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded);
-    seqCfg.parallel = false;
-    ClusterEngine sequential(std::move(seqCfg));
-    const ClusterResult a = sequential.run(trace_, {});
-
-    ClusterEngine parallel(homogeneousCluster(
+    // Replicas step on their own threads; the result must not depend
+    // on how the host schedules them.
+    ClusterEngine first(homogeneousCluster(
         ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
-    const ClusterResult b = parallel.run(trace_, {});
+    const ClusterResult a = first.run(trace_, {});
+
+    ClusterEngine second(homogeneousCluster(
+        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    const ClusterResult b = second.run(trace_, {});
 
     EXPECT_EQ(a.images, b.images);
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.switches.total(), b.switches.total());
     EXPECT_EQ(a.imagesPerReplica, b.imagesPerReplica);
-    // Static runs digest their (precomputed) route stream; identical
-    // assignments mean identical digests regardless of `parallel`.
+    // A clean static run digests its pinned route stream: one Route
+    // record per arrival.
     EXPECT_EQ(a.decisionDigest, b.decisionDigest);
     EXPECT_EQ(a.decisionCount,
               static_cast<std::int64_t>(trace_.size()));
+}
+
+TEST_F(ClusterFixture, SamplerCutsAreInvisible)
+{
+    // Every epoch-sampler tick cuts the threaded static run into one
+    // more segment; the cuts must not change the schedule (the
+    // straggler variant has a fault plan, so it runs in lockstep).
+    // Online round-robin routes exactly like the static assignment but steps
+    // the replicas in lockstep, so its sample rows must match too.
+    for (const bool straggler : {false, true}) {
+        RunOptions plain = runWithMode(RunMode::Static);
+        if (straggler) {
+            plain.faults.stragglers.push_back(
+                {1, milliseconds(200), milliseconds(900), 3.0});
+        }
+        ClusterEngine unsampled(homogeneousCluster(
+            ctx_, cfg_, 3, RoutingPolicy::RoundRobin));
+        const ClusterResult a = unsampled.run(trace_, plain);
+
+        RunOptions sampled = plain;
+        sampled.telemetry.enabled = true;
+        sampled.telemetry.sampleInterval = milliseconds(7);
+        sampled.telemetry.metricsCsvPath =
+            ::testing::TempDir() + "cluster_sampler_cuts.csv";
+        ClusterEngine cut(homogeneousCluster(
+            ctx_, cfg_, 3, RoutingPolicy::RoundRobin));
+        const ClusterResult b = cut.run(trace_, sampled);
+
+        EXPECT_EQ(a.images, b.images);
+        EXPECT_EQ(a.makespan, b.makespan);
+        EXPECT_EQ(a.switches.total(), b.switches.total());
+        EXPECT_EQ(a.imagesPerReplica, b.imagesPerReplica);
+        EXPECT_EQ(a.decisionDigest, b.decisionDigest);
+
+        const std::string csv =
+            readFileText(sampled.telemetry.metricsCsvPath);
+        std::istringstream in(csv);
+        std::string line;
+        ASSERT_TRUE(std::getline(in, line)); // header
+        double prevT = 0.0;
+        int rows = 0;
+        while (std::getline(in, line)) {
+            const double t = std::stod(line.substr(0, line.find(',')));
+            EXPECT_GT(t, prevT) << "sample times must advance";
+            prevT = t;
+            rows += 1;
+        }
+        EXPECT_GT(rows, 10);
+
+        RunOptions lockstep = sampled;
+        lockstep.mode = RunMode::Online;
+        ClusterEngine online(homogeneousCluster(
+            ctx_, cfg_, 3, RoutingPolicy::RoundRobin));
+        const ClusterResult c = online.run(trace_, lockstep);
+        EXPECT_EQ(a.makespan, c.makespan);
+        EXPECT_EQ(a.decisionDigest, c.decisionDigest);
+        EXPECT_EQ(csv, readFileText(lockstep.telemetry.metricsCsvPath));
+        std::remove(sampled.telemetry.metricsCsvPath.c_str());
+    }
 }
 
 TEST(ClusterResultTest, AggregationMath)
@@ -241,7 +299,7 @@ TEST(ClusterResultTest, EmptyClusterIsWellDefined)
     EXPECT_DOUBLE_EQ(r.imbalance(), 1.0);
 }
 
-TEST_F(ClusterFixture, EmptyShardReplicasProduceEmptyResults)
+TEST_F(ClusterFixture, ReplicasWithoutArrivalsProduceEmptyResults)
 {
     // Two components hash-colliding onto few replicas can leave one
     // replica without work; force the situation with a one-component

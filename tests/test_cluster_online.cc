@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for online cluster scheduling (ClusterConfig::onlineRouting):
- * static routeTrace()/run() consistency, online-mode determinism
- * across the `parallel` flag, work-stealing counter reconciliation,
+ * static routeTrace()/run() consistency, online-mode run-to-run
+ * determinism, work-stealing counter reconciliation,
  * the least-loaded router's round-up parallelism division, and the
  * expert-affinity router's capability fallback on heterogeneous
  * clusters.
@@ -62,7 +62,7 @@ class OnlineClusterFixture : public ::testing::Test
     }
 
     ClusterConfig
-    onlineConfig(int replicas, bool stealing, bool parallel = true) const
+    onlineConfig(int replicas, bool stealing) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "online");
@@ -70,7 +70,6 @@ class OnlineClusterFixture : public ::testing::Test
         // honor it, which this fixture's run(trace, {}) calls cover.
         cc.onlineRouting = true;
         cc.workStealing.enabled = stealing;
-        cc.parallel = parallel;
         return cc;
     }
 
@@ -87,7 +86,7 @@ TEST_F(OnlineClusterFixture, StaticRunMatchesRouteTraceAssignment)
 {
     // Static mode routes with a fresh (deterministic) router both in
     // routeTrace() and inside run(): per-replica image counts must
-    // equal the shard sizes the public assignment implies.
+    // equal the counts the public assignment implies.
     for (RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
           RoutingPolicy::ExpertAffinity}) {
@@ -128,16 +127,16 @@ TEST_F(OnlineClusterFixture, OnlineModeServesEveryImage)
     EXPECT_GT(used, 1);
 }
 
-TEST_F(OnlineClusterFixture, OnlineModeDeterministicAcrossParallelFlag)
+TEST_F(OnlineClusterFixture, OnlineModeDeterministicAcrossRuns)
 {
-    // Online coordination is lockstep on the shared virtual clock;
-    // `parallel` must not change a single metric — stealing and a
+    // Online coordination is lockstep on the shared virtual clock; two
+    // runs of one config must agree on every metric — stealing and a
     // cluster-shared CPU tier (whose access order the coordinator
     // serializes) included.
     for (bool stealing : {false, true}) {
         for (bool sharedTier : {false, true}) {
-            ClusterConfig ca = onlineConfig(3, stealing, /*parallel=*/true);
-            ClusterConfig cb = onlineConfig(3, stealing, /*parallel=*/false);
+            ClusterConfig ca = onlineConfig(3, stealing);
+            ClusterConfig cb = onlineConfig(3, stealing);
             if (sharedTier) {
                 for (ClusterConfig *cc : {&ca, &cb}) {
                     cc->sharedCpu.enabled = true;
@@ -419,7 +418,6 @@ TEST_F(OnlineClusterFixture, AffinityHeteroNumaUmaClusterServes)
     ClusterConfig cc = heterogeneousCluster(
         {{&ctx_, cfg_}, {&umaCtx, umaCfg}},
         RoutingPolicy::ExpertAffinity, "numa-uma");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace_, {});
     EXPECT_EQ(r.images, 400);

@@ -288,7 +288,6 @@ TEST_F(TierClusterFixture, SharedTierReportedOnceInClusterResult)
                                           RoutingPolicy::RoundRobin,
                                           "shared");
     cc.sharedCpu.enabled = true;
-    cc.parallel = false; // deterministic population order
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace_, {});
 
@@ -304,6 +303,42 @@ TEST_F(TierClusterFixture, SharedTierReportedOnceInClusterResult)
     EXPECT_EQ(findTierStats(r.tiers, "cpu.cache"), nullptr);
 }
 
+TEST_F(TierClusterFixture, StaticSharedTierRunIsCausal)
+{
+    // Replicas sharing a DRAM tier interact, so a static run steps
+    // them in lockstep on the shared clock, exactly as an online run
+    // does. Online round-robin falls back to the offline route and
+    // stealing, admission and autoscale are off, so both runs see the
+    // same arrivals on the same replicas and must agree. (A replica
+    // stepped ahead of its siblings would let them hit experts it
+    // demoted later in simulated time.)
+    const auto sharedConfig = [this]() {
+        EngineConfig cfg = cfg_;
+        cfg.cpuCacheBytes = 300 * kMB;
+        ClusterConfig cc = homogeneousCluster(
+            ctx_, cfg, 4, RoutingPolicy::RoundRobin, "causal");
+        cc.sharedCpu.enabled = true;
+        return cc;
+    };
+    ClusterEngine stat(sharedConfig());
+    const ClusterResult rs =
+        stat.run(trace_, runWithMode(RunMode::Static));
+    ClusterEngine online(sharedConfig());
+    const ClusterResult ro =
+        online.run(trace_, runWithMode(RunMode::Online));
+
+    const TierStats *ts = findTierStats(rs.tiers, "cpu.shared");
+    const TierStats *to = findTierStats(ro.tiers, "cpu.shared");
+    ASSERT_NE(ts, nullptr);
+    ASSERT_NE(to, nullptr);
+    EXPECT_GT(ts->counters.hits, 0);
+    EXPECT_EQ(ts->counters.hits, to->counters.hits);
+    EXPECT_EQ(ts->counters.misses, to->counters.misses);
+    EXPECT_EQ(rs.makespan, ro.makespan);
+    EXPECT_EQ(rs.switches.total(), ro.switches.total());
+    EXPECT_EQ(rs.decisionDigest, ro.decisionDigest);
+}
+
 TEST_F(TierClusterFixture, SharedTierBeatsPrivateTiersOnHitRate)
 {
     const auto hitRate = [](const ClusterResult &r,
@@ -315,7 +350,6 @@ TEST_F(TierClusterFixture, SharedTierBeatsPrivateTiersOnHitRate)
     ClusterConfig priv = homogeneousCluster(ctx_, cfg_, 2,
                                             RoutingPolicy::RoundRobin,
                                             "private");
-    priv.parallel = false;
     ClusterEngine privCluster(std::move(priv));
     const double privRate =
         hitRate(privCluster.run(trace_, {}), "cpu.cache");
@@ -324,7 +358,6 @@ TEST_F(TierClusterFixture, SharedTierBeatsPrivateTiersOnHitRate)
                                               RoutingPolicy::RoundRobin,
                                               "shared");
     shared.sharedCpu.enabled = true; // same total DRAM, one tier
-    shared.parallel = false;
     ClusterEngine sharedCluster(std::move(shared));
     const double sharedRate =
         hitRate(sharedCluster.run(trace_, {}), "cpu.shared");
@@ -338,7 +371,6 @@ TEST_F(TierClusterFixture, PrivateTiersMergeAcrossReplicas)
     ClusterConfig cc = homogeneousCluster(ctx_, cfg_, 2,
                                           RoutingPolicy::RoundRobin,
                                           "merge");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace_, {});
 
@@ -371,7 +403,6 @@ TEST_F(TierClusterFixture, HeterogeneousClusterMixedDevices)
     ClusterConfig cc = heterogeneousCluster(
         {{&ctx_, cfg_}, {&ctx_, cfg_}, {&bigCtx, bigCfg}, {&bigCtx, bigCfg}},
         RoutingPolicy::LeastLoaded, "hetero");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     ASSERT_EQ(cluster.numReplicas(), 4u);
 

@@ -4,8 +4,9 @@
  * primitives and snapshots, the virtual-time span tracer's Chrome
  * trace-event JSON, host-profile export, TelemetryConfig validation,
  * telemetry on/off schedule invariance (same decision digest and sim
- * metrics), trace byte-stability across repeat runs and the parallel
- * flag, the registry export of every result counter, and the epoch
+ * metrics), trace byte-stability across repeat runs (online, and
+ * static with replicas on threads), the registry export of every
+ * result counter, and the epoch
  * sampler's CSV time series.
  */
 
@@ -239,15 +240,15 @@ TEST(ObsTraceTest, WriteFileStreamsTheToJsonBytesAcrossBlocks)
 TEST(ObsHostProfileTest, ExportAccumulatesPerPhaseGauges)
 {
     obs::HostProfile prof;
-    prof.add("route_shard", 120.0);
-    prof.add("route_shard", 80.0);
+    prof.add("build", 120.0);
+    prof.add("build", 80.0);
     prof.add("scheduling", 500.0, 16);
 
     obs::MetricsRegistry reg;
     prof.exportTo(reg);
     const obs::MetricsSnapshot snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(snap.value("host.route_shard_us", -1), 200.0);
-    EXPECT_DOUBLE_EQ(snap.value("host.route_shard_calls", -1), 2.0);
+    EXPECT_DOUBLE_EQ(snap.value("host.build_us", -1), 200.0);
+    EXPECT_DOUBLE_EQ(snap.value("host.build_calls", -1), 2.0);
     EXPECT_DOUBLE_EQ(snap.value("host.scheduling_us", -1), 500.0);
     EXPECT_DOUBLE_EQ(snap.value("host.scheduling_calls", -1), 16.0);
 }
@@ -441,12 +442,11 @@ class ObsFixture : public ::testing::Test
     }
 
     ClusterConfig
-    obsConfig(int replicas, bool migration, bool parallel = true) const
+    obsConfig(int replicas, bool migration) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "obs");
         cc.onlineRouting = true;
-        cc.parallel = parallel;
         cc.preemption.enabled = true;
         cc.preemption.minRunQuantum = milliseconds(5);
         cc.preemption.migration = migration;
@@ -503,14 +503,14 @@ TEST_F(ObsFixture, ValidateCoversTelemetryKnobs)
     bad.telemetry.sampleInterval = 0;
     EXPECT_FALSE(obsConfig(2, false).validate(bad).empty());
 
-    // Epoch sampling needs the coordinator's stepping loop: a static
-    // clean run has none, a static run with a fault plan does.
+    // Every run goes through the coordinator, so epoch sampling is
+    // valid in static mode too, with or without a fault plan.
     ClusterConfig stat = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
     RunOptions csv;
     csv.telemetry.enabled = true;
     csv.telemetry.metricsCsvPath = "x.csv";
-    EXPECT_FALSE(stat.validate(csv).empty());
+    EXPECT_TRUE(stat.validate(csv).empty());
     RunOptions faulty = csv;
     faulty.faults.crashes.push_back({1, seconds(1)});
     EXPECT_TRUE(stat.validate(faulty).empty());
@@ -566,18 +566,25 @@ TEST_F(ObsFixture, TelemetryOnLeavesScheduleByteIdentical)
     removeOutputs(on);
 }
 
-TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRunsAndParallelFlag)
+TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRuns)
 {
     RunOptions a = telemetryOpts("obs_rep_a");
     RunOptions b = telemetryOpts("obs_rep_b");
+    // Static runs step their replicas on threads between sampler
+    // ticks.
     RunOptions c = telemetryOpts("obs_rep_c");
+    RunOptions d = telemetryOpts("obs_rep_d");
+    c.mode = RunMode::Static;
+    d.mode = RunMode::Static;
 
-    ClusterEngine ea(obsConfig(3, true, /*parallel=*/true));
-    ClusterEngine eb(obsConfig(3, true, /*parallel=*/true));
-    ClusterEngine ec(obsConfig(3, true, /*parallel=*/false));
+    ClusterEngine ea(obsConfig(3, true));
+    ClusterEngine eb(obsConfig(3, true));
+    ClusterEngine ec(obsConfig(3, false));
+    ClusterEngine ed(obsConfig(3, false));
     ea.run(trace_, a);
     eb.run(trace_, b);
     ec.run(trace_, c);
+    ed.run(trace_, d);
 
     const std::string traceA = readFileText(a.telemetry.tracePath);
     ASSERT_FALSE(traceA.empty());
@@ -585,11 +592,15 @@ TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRunsAndParallelFlag)
     EXPECT_EQ(traceA, readFileText(b.telemetry.tracePath));
     // Spans carry virtual time into per-replica buffers merged in pid
     // order, so host threading cannot reorder the JSON either.
-    EXPECT_EQ(traceA, readFileText(c.telemetry.tracePath));
+    const std::string traceC = readFileText(c.telemetry.tracePath);
+    ASSERT_FALSE(traceC.empty());
+    EXPECT_EQ(traceC, readFileText(d.telemetry.tracePath));
     // The sampler observes only virtual-clock state: same rows too.
     const std::string csvA = readFileText(a.telemetry.metricsCsvPath);
     EXPECT_EQ(csvA, readFileText(b.telemetry.metricsCsvPath));
-    EXPECT_EQ(csvA, readFileText(c.telemetry.metricsCsvPath));
+    const std::string csvC = readFileText(c.telemetry.metricsCsvPath);
+    ASSERT_FALSE(csvC.empty());
+    EXPECT_EQ(csvC, readFileText(d.telemetry.metricsCsvPath));
 
     // Trace schema essentials survive end-to-end.
     for (const char *field : {"\"traceEvents\"", "\"ph\"", "\"ts\"",
@@ -603,6 +614,39 @@ TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRunsAndParallelFlag)
     removeOutputs(a);
     removeOutputs(b);
     removeOutputs(c);
+    removeOutputs(d);
+}
+
+TEST_F(ObsFixture, StaticPreemptionDigestIgnoresSamplerCuts)
+{
+    // Deadline rescues on static replicas are decisions too. Sampler
+    // ticks cut a threaded static run into segments; wherever they
+    // fall, the decision stream must be the one the unsampled run
+    // notes, or a recording made with telemetry off would not replay
+    // with it on. The straggler variant runs in lockstep.
+    for (const bool straggler : {false, true}) {
+        RunOptions plain = runWithMode(RunMode::Static);
+        if (straggler) {
+            plain.faults.stragglers.push_back(
+                {1, seconds(2), seconds(8), 3.0});
+        }
+        ClusterEngine unsampled(obsConfig(3, false));
+        const ClusterResult a = unsampled.run(trace_, plain);
+        EXPECT_GT(a.preemptions, 0);
+
+        RunOptions sampled = plain;
+        sampled.telemetry.enabled = true;
+        sampled.telemetry.sampleInterval = milliseconds(7);
+        sampled.telemetry.metricsCsvPath =
+            tempPath("obs_static_cuts.csv");
+        ClusterEngine cut(obsConfig(3, false));
+        const ClusterResult b = cut.run(trace_, sampled);
+        EXPECT_EQ(a.preemptions, b.preemptions);
+        EXPECT_EQ(a.decisionCount, b.decisionCount);
+        EXPECT_EQ(a.decisionDigest, b.decisionDigest);
+        EXPECT_EQ(a.makespan, b.makespan);
+        std::remove(sampled.telemetry.metricsCsvPath.c_str());
+    }
 }
 
 // ------------------------------------------------------ reconciliation
@@ -679,12 +723,12 @@ TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
     EXPECT_GT(r.migratedGroups, 0);
     EXPECT_EQ(r.crashesInjected, 1);
 
-    // A static sharded run has no coordinator: every engine-family
-    // counter is exported from its struct field, and no
-    // coordinator-family key appears.
-    ClusterEngine sharded(obsConfig(3, /*migration=*/false));
+    // A clean static run: every engine-family counter is exported
+    // from its struct field, and the coordinator family has the same
+    // key set as above, all zero.
+    ClusterEngine stat(obsConfig(3, /*migration=*/false));
     const ClusterResult s =
-        sharded.run(trace_, runWithMode(RunMode::Static));
+        stat.run(trace_, runWithMode(RunMode::Static));
     const std::pair<const char *, std::int64_t> engineFamily[] = {
         {"cluster.images", s.images},
         {"cluster.inferences", s.inferences},
@@ -713,7 +757,9 @@ TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
           "cluster.downgraded", "cluster.crashes",
           "cluster.crash_rehomed", "cluster.crash_lost",
           "cluster.stragglers", "cluster.brownouts"}) {
-        EXPECT_EQ(s.metrics.find(name), nullptr) << name;
+        const obs::MetricSample *m = s.metrics.find(name);
+        ASSERT_NE(m, nullptr) << name;
+        EXPECT_EQ(m->value, 0.0) << name;
         EXPECT_NE(r.metrics.find(name), nullptr) << name;
     }
     EXPECT_GT(s.images, 0);

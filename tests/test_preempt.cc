@@ -2,7 +2,7 @@
  * @file
  * Tests for preemptive checkpoint/restore and live migration: the
  * CheckpointModel pricing, config validation, deadline-rescue
- * preemption counters, on/off and parallel-flag determinism,
+ * preemption counters, on/off and run-to-run determinism,
  * record→replay with the v2 decision kinds, forced divergence on a
  * preemption mismatch, the v1-log version gate, and crash + migration
  * request reconciliation.
@@ -112,13 +112,11 @@ class PreemptFixture : public ::testing::Test
     }
 
     ClusterConfig
-    preemptConfig(int replicas, bool migration,
-                  bool parallel = true) const
+    preemptConfig(int replicas, bool migration) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "preempt");
         cc.onlineRouting = true;
-        cc.parallel = parallel;
         cc.preemption.enabled = true;
         cc.preemption.minRunQuantum = milliseconds(5);
         cc.preemption.migration = migration;
@@ -253,11 +251,11 @@ TEST_F(PreemptFixture, PreemptionChangesTheScheduleOnlyWhenOn)
 
 // --------------------------------------------------------- determinism
 
-TEST_F(PreemptFixture, PreemptionDeterministicAcrossParallelFlag)
+TEST_F(PreemptFixture, PreemptionDeterministicAcrossRuns)
 {
     for (bool migration : {false, true}) {
-        ClusterEngine a(preemptConfig(3, migration, /*parallel=*/true));
-        ClusterEngine b(preemptConfig(3, migration, /*parallel=*/false));
+        ClusterEngine a(preemptConfig(3, migration));
+        ClusterEngine b(preemptConfig(3, migration));
         const ClusterResult ra =
             a.run(trace_, runWithMode(RunMode::Online));
         const ClusterResult rb =

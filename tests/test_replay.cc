@@ -194,26 +194,26 @@ TEST_F(ReplayFixture, RecordThenReplayIsByteIdentical)
     std::remove(logB.c_str());
 }
 
-TEST_F(ReplayFixture, StaticRecordReplaysAcrossParallelFlag)
+TEST_F(ReplayFixture, StaticRecordReplays)
 {
-    // Static runs digest the precomputed route assignment, so a
-    // sequential replica execution must replay a parallel recording.
+    // A clean static run digests its pinned route stream, so a second
+    // run of the same config (replicas on their own threads again)
+    // must replay the recording.
     const std::string log = tempPath("replay_static.bin");
     RunOptions rec;
     rec.recordPath = log;
-    ClusterConfig par = homogeneousCluster(ctx_, cfg_, 3,
-                                           RoutingPolicy::LeastLoaded);
-    ClusterEngine recorder(std::move(par));
+    ClusterEngine recorder(homogeneousCluster(
+        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
     const ClusterResult r1 = recorder.run(trace_, rec);
 
     RunOptions rep;
     rep.replayPath = log;
-    ClusterConfig seq = homogeneousCluster(ctx_, cfg_, 3,
-                                           RoutingPolicy::LeastLoaded);
-    seq.parallel = false;
-    ClusterEngine replayer(std::move(seq));
+    ClusterEngine replayer(homogeneousCluster(
+        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
     const ClusterResult r2 = replayer.run(trace_, rep);
     EXPECT_EQ(r1.decisionDigest, r2.decisionDigest);
+    EXPECT_EQ(r1.makespan, r2.makespan);
+    EXPECT_EQ(r1.imagesPerReplica, r2.imagesPerReplica);
     EXPECT_EQ(r1.decisionCount,
               static_cast<std::int64_t>(trace_.size()));
     std::remove(log.c_str());

@@ -84,6 +84,12 @@ TEST(EventQueueTest, RunUntilAdvancesClock)
     EXPECT_EQ(count, 1);
     EXPECT_EQ(eq.now(), 50);
     EXPECT_EQ(eq.pending(), 1u);
+
+    // kTimeNever runs to idle; the clock stays at the last event.
+    eq.runUntil(kTimeNever);
+    EXPECT_EQ(count, 2);
+    EXPECT_EQ(eq.now(), 100);
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
 TEST(EventQueueTest, RunWithEventBudget)

@@ -557,13 +557,12 @@ class SloClusterFixture : public SloServingFixture
 {
   protected:
     ClusterConfig
-    onlineConfig(bool autoscale, bool parallel = true) const
+    onlineConfig(bool autoscale) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, 4, RoutingPolicy::LeastLoaded, "slo-cluster");
         cc.onlineRouting = true;
         cc.workStealing.enabled = true;
-        cc.parallel = parallel;
         cc.admission.enabled = true;
         if (autoscale) {
             cc.autoscale.enabled = true;
@@ -578,8 +577,8 @@ class SloClusterFixture : public SloServingFixture
 TEST_F(SloClusterFixture, OnlineSloServingReconcilesAndIsDeterministic)
 {
     for (bool autoscale : {false, true}) {
-        ClusterEngine a(onlineConfig(autoscale, /*parallel=*/true));
-        ClusterEngine b(onlineConfig(autoscale, /*parallel=*/false));
+        ClusterEngine a(onlineConfig(autoscale));
+        ClusterEngine b(onlineConfig(autoscale));
         const ClusterResult ra = a.run(trace_, {});
         const ClusterResult rb = b.run(trace_, {});
 
@@ -595,7 +594,7 @@ TEST_F(SloClusterFixture, OnlineSloServingReconcilesAndIsDeterministic)
                           ra.slo.rejected()),
                   static_cast<std::int64_t>(trace_.size()));
 
-        // Bit-identical regardless of `parallel`, autoscale included.
+        // Bit-identical run to run, autoscale included.
         EXPECT_EQ(ra.images, rb.images);
         EXPECT_EQ(ra.makespan, rb.makespan);
         EXPECT_EQ(ra.eventsExecuted, rb.eventsExecuted);
