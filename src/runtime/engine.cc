@@ -419,8 +419,38 @@ ServingEngine::allocRequestId()
 void
 ServingEngine::scheduleArrival(const ImageArrival &a)
 {
+    const RequestId id = allocRequestId();
+    const std::uint64_t seq = eq_.reserveSeq();
+    if (!feed_.empty() && a.time < feed_.back().arrival.time) {
+        // Out of order: the feed must stay sorted, so this arrival
+        // takes its place in the heap directly.
+        eq_.scheduleReserved(a.time, seq,
+                             [this, a, id]() { arrive(a, id); });
+        return;
+    }
+    feed_.push_back(FedArrival{a, id, seq});
+    if (feed_.size() == 1)
+        scheduleFeedHead();
+}
+
+void
+ServingEngine::scheduleFeedHead()
+{
+    const FedArrival &f = feed_.front();
+    eq_.scheduleReserved(f.arrival.time, f.seq,
+                         [this, a = f.arrival, id = f.id]() {
+                             feed_.pop_front();
+                             if (!feed_.empty())
+                                 scheduleFeedHead();
+                             arrive(a, id);
+                         });
+}
+
+void
+ServingEngine::arrive(const ImageArrival &a, RequestId id)
+{
     Request req;
-    req.id = allocRequestId();
+    req.id = id;
     req.imageId = req.id;
     req.component = a.component;
     req.expert = model_.component(a.component).classifier;
@@ -430,7 +460,7 @@ ServingEngine::scheduleArrival(const ImageArrival &a)
     req.cls = a.cls;
     req.deadline = a.deadline;
     req.imageArrival = a.time;
-    eq_.schedule(a.time, [this, req]() { admitTimed(req); });
+    admitTimed(std::move(req));
 }
 
 void
@@ -628,8 +658,10 @@ ServingEngine::run(const Trace &trace)
 
     beginRun();
 
-    // Arrivals take ids 0..n-1 (all scheduled before any child
-    // request is spawned); children continue from n.
+    // Arrivals take ids 0..n-1 in trace order (every id and event
+    // sequence number is taken here, before any child request is
+    // spawned, although the feed hands the arrivals to the event heap
+    // one at a time); children continue from n.
     nextRequestId_ = 0;
     for (const ImageArrival &a : trace.arrivals)
         scheduleArrival(a);
@@ -846,9 +878,11 @@ ServingEngine::crashDrain(std::vector<Request> &out)
     migrateOutbox_.clear();
     // Drop everything still scheduled — batch completions (their
     // requests were just surrendered), in-flight expert loads, pending
-    // prefetches. The clock survives, so finishOnline() reports the
-    // pre-crash metrics at the right makespan.
+    // prefetches, and arrivals not yet admitted. The clock survives,
+    // so finishOnline() reports the pre-crash metrics at the right
+    // makespan.
     eq_.clear();
+    feed_.clear();
     return drained;
 }
 

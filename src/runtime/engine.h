@@ -12,6 +12,7 @@
 #define COSERVE_RUNTIME_ENGINE_H
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -145,7 +146,8 @@ class ServingEngine
     /**
      * Serve @p trace to completion; callable once per engine. An empty
      * trace is legal (a cluster replica may be routed zero requests)
-     * and yields an empty result.
+     * and yields an empty result. Arrivals take request ids 0..n-1 in
+     * trace order; the trace need not be time-sorted.
      */
     RunResult run(const Trace &trace);
 
@@ -493,8 +495,19 @@ class ServingEngine
     RunResult collectResult();
     /** Next request id in this engine's (possibly strided) id space. */
     RequestId allocRequestId();
-    /** Build a classify request for @p a and schedule its dispatch. */
+    /**
+     * Take @p a's request id and event sequence number now, and queue
+     * it for admission at @p a.time: appended to the arrival feed, or
+     * straight into the event heap when it is earlier than the feed's
+     * tail. Ids therefore still follow call order (0..n-1 in trace
+     * order for run()), and the arrival ties with other events exactly
+     * as if it had been scheduled here.
+     */
     void scheduleArrival(const ImageArrival &a);
+    /** Schedule the feed head under its reserved sequence number. */
+    void scheduleFeedHead();
+    /** Build the classify request for @p a under @p id and admit it. */
+    void arrive(const ImageArrival &a, RequestId id);
     /**
      * Arrival-time admission: consult the controller (enabled configs
      * only), then dispatch — or drop/downgrade. Runs at the arrival's
@@ -523,6 +536,21 @@ class ServingEngine
     DependencyGraph deps_;
 
     EventQueue eq_;
+    /** An arrival waiting in the feed, with its reserved id and seq. */
+    struct FedArrival
+    {
+        ImageArrival arrival;
+        RequestId id;
+        std::uint64_t seq;
+    };
+    /**
+     * Arrivals not yet admitted, sorted by (time, seq). Only the head
+     * is in the event heap; when it fires it schedules the next one.
+     * Each keeps the (time, seq) it would have had in the heap and the
+     * head is the feed's minimum, so the event order is the same as
+     * with every arrival in the heap.
+     */
+    std::deque<FedArrival> feed_;
     TransferModel transfer_;
     std::unique_ptr<BandwidthChannel> storage_;
     std::unique_ptr<BandwidthChannel> link_;

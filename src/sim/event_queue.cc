@@ -7,8 +7,16 @@ namespace coserve {
 EventId
 EventQueue::schedule(Time when, Callback fn)
 {
+    return scheduleReserved(when, nextSeq_++, std::move(fn));
+}
+
+EventId
+EventQueue::scheduleReserved(Time when, std::uint64_t seq, Callback fn)
+{
     COSERVE_CHECK(when >= now_, "scheduling into the past: ", when,
                   " < ", now_);
+    COSERVE_CHECK(seq < nextSeq_, "sequence number ", seq,
+                  " was never reserved");
     COSERVE_CHECK(static_cast<bool>(fn), "scheduling empty callback");
 
     std::uint32_t slot;
@@ -20,7 +28,6 @@ EventQueue::schedule(Time when, Callback fn)
         slots_.emplace_back();
     }
     Slot &s = slots_[slot];
-    const std::uint64_t seq = nextSeq_++;
     s.fn = std::move(fn);
     s.seq = seq;
 

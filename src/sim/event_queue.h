@@ -8,6 +8,14 @@
  * schedule order (a monotonically increasing sequence number breaks
  * ties), which makes whole-system runs deterministic.
  *
+ * A sequence number can be taken ahead of its event (reserveSeq) and
+ * used later (scheduleReserved): the event then orders exactly as if
+ * it had been scheduled when the number was taken. The serving engine
+ * feeds its arrivals this way, one at a time, so the heap holds only
+ * in-flight events (one fed arrival per engine, plus any arrival
+ * scheduled out of time order) rather than every future arrival of
+ * the trace.
+ *
  * Implementation: a binary min-heap over a contiguous std::vector,
  * ordered by (time, seq). Callbacks live in a slot pool indexed by the
  * heap items; cancellation bumps the slot's generation counter and
@@ -70,6 +78,22 @@ class EventQueue
      */
     EventId schedule(Time when, Callback fn);
 
+    /**
+     * Take the next sequence number without scheduling anything: an
+     * event later scheduled under it (scheduleReserved) ties at equal
+     * timestamps as if it had been scheduled now.
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
+     * Schedule @p fn at @p when under @p seq, a number taken from
+     * reserveSeq() and not used before. schedule() is
+     * scheduleReserved(when, reserveSeq(), fn).
+     *
+     * @param when must be >= now(); scheduling into the past aborts.
+     */
+    EventId scheduleReserved(Time when, std::uint64_t seq, Callback fn);
+
     /** Schedule @p fn @p delay after now(). */
     EventId scheduleAfter(Time delay, Callback fn);
 
@@ -102,7 +126,11 @@ class EventQueue
      */
     Time nextTime();
 
-    /** @return number of pending *live* (non-cancelled) events. */
+    /**
+     * @return number of pending *live* (non-cancelled) events. Only
+     * events in the heap count: an engine's fed arrivals count as one
+     * (the feed head), so pending() == 0 still means "nothing left".
+     */
     std::size_t pending() const { return live_; }
 
     /**

@@ -1,17 +1,21 @@
 /**
  * @file
  * Integration tests for the serving engine on a small board and a tiny
- * device: completion, determinism, prefetch overlap, cache tier, and
- * the effect of grouped scheduling on switch counts.
+ * device: completion, determinism, prefetch overlap, cache tier, the
+ * effect of grouped scheduling on switch counts, and the tie order of
+ * arrivals against engine events.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "baselines/evictions.h"
 #include "baselines/schedulers.h"
+#include "cluster/cluster.h"
 #include "coe/board_builder.h"
+#include "core/coserve.h"
 #include "core/scheduler.h"
 #include "core/two_stage_eviction.h"
 #include "runtime/engine.h"
@@ -254,6 +258,131 @@ TEST_F(EngineFixture, PredictLoadTimeSemantics)
     engine.run(trace_); // preloads everything (pool holds all experts)
     // Resident expert: zero switch latency (Section 4.2).
     EXPECT_EQ(engine.predictLoadTime(0, 0), 0);
+}
+
+// ------------------------------------------------- arrival event order
+
+/**
+ * A hand-made trace whose schedule hinges on (time, seq) tie-breaks:
+ * arrivals in triples at one instant, one arrival listed after later
+ * ones (out of order), and a triple landing exactly on a batch
+ * completion instant. Arrivals take their sequence numbers when
+ * run() starts, so at every shared instant they run before any engine
+ * event. The pins are the schedule of putting every arrival into the
+ * event heap up front; feeding arrivals one at a time must not move
+ * them.
+ */
+class ArrivalOrderFixture : public ::testing::Test
+{
+  protected:
+    ArrivalOrderFixture()
+        : device_(tinyTestDevice()), model_(buildBoard(tinyBoard())),
+          ctx_(device_, model_)
+    {
+        // One GPU and one CPU executor with a mid-range GPU expert
+        // count: the run switches experts, spreads work over both
+        // executors, and the tie at the completion instant shows in
+        // the switch counts.
+        const auto [minCount, maxCount] = gpuExpertCountBounds(ctx_, 1, 1);
+        const int count = (minCount + maxCount) / 2;
+        cfg_ = coserveConfig(ctx_, coserveExecutorLayout(ctx_, 1, 1, count),
+                             "arrival-order");
+        TaskSpec task;
+        task.name = "arrival-order";
+        task.numImages = 40;
+        task.seed = 3;
+        source_ = generateTrace(model_, task);
+
+        // 30 arrivals in triples, one instant every 4 ms; the triple
+        // at 16 ms loses its first arrival to the end of the list.
+        for (std::size_t i = 0; i < 30; ++i) {
+            ImageArrival a = source_.arrivals[i];
+            a.time = milliseconds(4) * static_cast<Time>(i / 3);
+            head_.arrivals.push_back(a);
+        }
+        const ImageArrival late = head_.arrivals[12];
+        head_.arrivals.erase(head_.arrivals.begin() + 12);
+        head_.arrivals.push_back(late);
+    }
+
+    RunResult
+    runEngine(const Trace &trace) const
+    {
+        return makeCoServeEngine(ctx_, cfg_)->run(trace);
+    }
+
+    /**
+     * head_, then a triple at @p completion (the head's last batch
+     * completion) and a pair 4 ms later. Fed one at a time, the second
+     * and third arrivals of the triple enter the event heap only after
+     * that completion was scheduled.
+     */
+    Trace
+    fullTrace(Time completion) const
+    {
+        Trace t = head_;
+        for (std::size_t i = 30; i < 35; ++i) {
+            ImageArrival a = source_.arrivals[i];
+            a.time = completion + (i < 33 ? 0 : milliseconds(4));
+            // The triple shares one classifier, so whether all three
+            // are queued when the completion picks the next batch
+            // decides that batch's size.
+            if (i < 33)
+                a.component = source_.arrivals[30].component;
+            t.arrivals.push_back(a);
+        }
+        return t;
+    }
+
+    DeviceSpec device_;
+    CoEModel model_;
+    CoServeContext ctx_;
+    EngineConfig cfg_;
+    Trace source_;
+    Trace head_;
+};
+
+// The head's last batch completes here: fullTrace() lands three
+// arrivals on that instant.
+constexpr Time kHeadCompletion = 1596407488;
+
+TEST_F(ArrivalOrderFixture, EngineRunKeepsTieOrder)
+{
+    ASSERT_EQ(runEngine(head_).makespan, kHeadCompletion);
+    const RunResult r = runEngine(fullTrace(kHeadCompletion));
+    EXPECT_EQ(r.images, 35);
+    EXPECT_EQ(r.makespan, 3127407488);
+    EXPECT_EQ(r.switches.total(), 11);
+    EXPECT_EQ(r.switches.evictions, 13);
+    EXPECT_EQ(r.assignments,
+              (std::vector<int>{0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0,
+                                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}));
+}
+
+TEST_F(ArrivalOrderFixture, OnlineSingleReplicaKeepsTieOrder)
+{
+    // Cluster runs take time-sorted traces; the stable sort puts the
+    // out-of-order arrival back inside its triple.
+    Trace sorted = fullTrace(kHeadCompletion);
+    std::stable_sort(sorted.arrivals.begin(), sorted.arrivals.end(),
+                     [](const ImageArrival &x, const ImageArrival &y) {
+                         return x.time < y.time;
+                     });
+    ClusterConfig cc = homogeneousCluster(
+        ctx_, cfg_, 1, RoutingPolicy::LeastLoaded, "arrival-order");
+    cc.onlineRouting = true;
+    const ClusterResult r = ClusterEngine(std::move(cc)).run(sorted, {});
+    EXPECT_EQ(r.images, 35);
+    EXPECT_EQ(r.makespan, 3127407488);
+    EXPECT_EQ(r.switches.total(), 11);
+    EXPECT_EQ(r.switches.evictions, 13);
+    EXPECT_EQ(r.decisionDigest, 0xdc805454838e70c5ULL);
+    ASSERT_EQ(r.replicas.size(), 1u);
+    EXPECT_EQ(r.replicas[0].assignments,
+              (std::vector<int>{0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0,
+                                1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0}));
 }
 
 } // namespace

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the discrete-event core: event ordering, cancellation,
- * virtual clock, and bandwidth channel serialization.
+ * Unit tests for the discrete-event core: event ordering, reserved
+ * sequence numbers, cancellation, virtual clock, and bandwidth channel
+ * serialization.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/channel.h"
@@ -100,6 +102,91 @@ TEST(EventQueueTest, RunWithEventBudget)
         eq.schedule(i, [&] { ++count; });
     eq.run(3);
     EXPECT_EQ(count, 3);
+}
+
+TEST(EventQueueTest, ReservedSeqOrdersAsIfScheduledAtReservation)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t early = eq.reserveSeq();
+    eq.schedule(10, [&] { order.push_back(2); });
+    // Scheduled last, but under the seq taken first: it wins the tie.
+    eq.scheduleReserved(10, early, [&] { order.push_back(1); });
+    eq.schedule(10, [&] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, ReservedSeqFedFromInsideAnEvent)
+{
+    // The arrival-feed pattern: an event running at t schedules the
+    // next arrival at t under the seq reserved before an engine event
+    // at t was scheduled; the arrival still runs first.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t first = eq.reserveSeq();
+    const std::uint64_t second = eq.reserveSeq();
+    eq.schedule(10, [&] { order.push_back(3); });
+    eq.scheduleReserved(10, first, [&] {
+        order.push_back(1);
+        eq.scheduleReserved(10, second, [&] { order.push_back(2); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, ReservedSeqEventCanBeCancelled)
+{
+    EventQueue eq;
+    bool ran = false;
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(5, [] {});
+    const EventId id = eq.scheduleReserved(10, seq, [&] { ran = true; });
+    EXPECT_EQ(id.seq, seq);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_TRUE(eq.cancel(id));
+    EXPECT_FALSE(eq.cancel(id));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueueDeathTest, ScheduleReservedIntoThePastAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(100, [] {});
+    eq.run();
+    ASSERT_EQ(eq.now(), 100);
+    EXPECT_DEATH(eq.scheduleReserved(50, seq, [] {}),
+                 "scheduling into the past");
+    EXPECT_DEATH(eq.scheduleReserved(100, 7, [] {}), "never reserved");
+}
+
+TEST(EventQueueTest, ClearKeepsClockAndExecutedCount)
+{
+    EventQueue eq;
+    int count = 0;
+    eq.schedule(10, [&] { ++count; });
+    eq.schedule(20, [&] { ++count; });
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.scheduleReserved(30, seq, [&] { ++count; });
+    eq.runUntil(15);
+    eq.clear();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.now(), 15);
+    EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_EQ(eq.nextTime(), kTimeNever);
+    eq.run();
+    EXPECT_EQ(count, 1);
+    // The queue keeps working after a clear, with the clock intact.
+    eq.scheduleAfter(5, [&] { ++count; });
+    eq.run();
+    EXPECT_EQ(count, 2);
+    EXPECT_EQ(eq.now(), 20);
+    EXPECT_EQ(eq.executed(), 2u);
 }
 
 TEST(ChannelTest, UncontendedDuration)
