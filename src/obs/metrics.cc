@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/output_file.h"
+#include "util/strutil.h"
 
 namespace coserve::obs {
 
@@ -55,12 +56,17 @@ MetricsSnapshot::writeJson(const std::string &path) const
     std::FILE *f = out.get();
     if (!f)
         return false;
-    std::fprintf(f, "{\n");
+    std::string text = "{\n";
+    char num[kMaxG17Chars];
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        std::fprintf(f, "  \"%s\": %.17g%s\n", rows[i].name.c_str(),
-                     rows[i].value, i + 1 < rows.size() ? "," : "");
+        text += "  \"";
+        text += rows[i].name;
+        text += "\": ";
+        text.append(num, putG17(num, rows[i].value));
+        text += i + 1 < rows.size() ? ",\n" : "\n";
     }
-    std::fprintf(f, "}\n");
+    text += "}\n";
+    std::fwrite(text.data(), 1, text.size(), f);
     return out.close();
 }
 

@@ -1,8 +1,11 @@
 #include "obs/telemetry.h"
 
+#include <charconv>
 #include <cstdio>
 
-#include "util/csv.h"
+#include "util/output_file.h"
+#include "util/strutil.h"
+#include "util/walltime.h"
 
 namespace coserve::obs {
 
@@ -46,21 +49,49 @@ Telemetry::recordSample(const SampleRow &row)
 
 namespace {
 
-std::string
-formatG(double v)
+char *
+putInt(char *p, std::int64_t v)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return std::to_chars(p, p + 20, v).ptr;
 }
 
-std::string
-formatI(std::int64_t v)
+/** Write the sampler rows as CSV; @return false on any file error. */
+bool
+writeSamplesCsv(const std::string &path,
+                const std::vector<SampleRow> &samples)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(v));
-    return buf;
+    OutputFile out(path);
+    std::FILE *f = out.get();
+    if (!f)
+        return false;
+    static constexpr char kHeader[] =
+        "t_s,queue_depth,active_replicas,images,inferences,"
+        "goodput_img_per_s,preemptions,gpu_hit_rate,cpu_hit_rate\n";
+    std::fwrite(kHeader, 1, sizeof(kHeader) - 1, f);
+    // Four doubles, five integers, eight commas and a newline.
+    char line[4 * kMaxG17Chars + 5 * 20 + 9];
+    for (const SampleRow &s : samples) {
+        char *p = putG17(line, toSeconds(s.t));
+        *p++ = ',';
+        p = putInt(p, s.queueDepth);
+        *p++ = ',';
+        p = putInt(p, s.activeReplicas);
+        *p++ = ',';
+        p = putInt(p, s.images);
+        *p++ = ',';
+        p = putInt(p, s.inferences);
+        *p++ = ',';
+        p = putG17(p, s.goodputImgPerSec);
+        *p++ = ',';
+        p = putInt(p, s.preemptions);
+        *p++ = ',';
+        p = putG17(p, s.gpuHitRate);
+        *p++ = ',';
+        p = putG17(p, s.cpuHitRate);
+        *p++ = '\n';
+        std::fwrite(line, 1, static_cast<std::size_t>(p - line), f);
+    }
+    return out.close();
 }
 
 } // namespace
@@ -69,29 +100,19 @@ bool
 Telemetry::finish(MetricsSnapshot &snapshot)
 {
     bool ok = true;
+    // The trace goes first, so that its export time is in the host
+    // profile that the snapshot and the metrics JSON carry.
+    if (tracer_ && !cfg_.tracePath.empty()) {
+        const WallTimer exportWall;
+        ok = tracer_->writeFile(cfg_.tracePath);
+        host_.add("trace_export", exportWall.elapsedMicros());
+    }
     host_.exportTo(registry_);
     snapshot = registry_.snapshot();
-    if (tracer_ && !cfg_.tracePath.empty())
-        ok = tracer_->writeFile(cfg_.tracePath) && ok;
     if (cfg_.enabled && !cfg_.metricsJsonPath.empty())
         ok = snapshot.writeJson(cfg_.metricsJsonPath) && ok;
-    if (samplingEnabled()) {
-        CsvWriter csv(cfg_.metricsCsvPath,
-                      {"t_s", "queue_depth", "active_replicas",
-                       "images", "inferences", "goodput_img_per_s",
-                       "preemptions", "gpu_hit_rate", "cpu_hit_rate"});
-        for (const SampleRow &s : samples_) {
-            csv.addRow({formatG(toSeconds(s.t)),
-                        formatI(s.queueDepth),
-                        formatI(s.activeReplicas), formatI(s.images),
-                        formatI(s.inferences),
-                        formatG(s.goodputImgPerSec),
-                        formatI(s.preemptions),
-                        formatG(s.gpuHitRate),
-                        formatG(s.cpuHitRate)});
-        }
-        ok = csv.close() && ok;
-    }
+    if (samplingEnabled())
+        ok = writeSamplesCsv(cfg_.metricsCsvPath, samples_) && ok;
     return ok;
 }
 

@@ -18,11 +18,16 @@
  * stable-sorts by timestamp: equal timestamps keep pid order, so the
  * merge is deterministic.
  *
- * Export streams: one renderer writes the merged JSON through a fixed
- * 64 KiB block (literals by memcpy, integers by std::to_chars) into a
- * sink. writeFile() hands each block to the file as it fills, so the
- * rendered document is never held whole; only the event index for
- * the sort is.
+ * Export streams: the merge collects one 16-byte key per event
+ * (timestamp, buffer, index) and sorts the keys with a stable LSD
+ * radix sort on the timestamp minus the earliest one, in 11-bit
+ * digits, running only as many passes as the trace's time range
+ * needs. One renderer then
+ * writes each row in place through a raw cursor into a 64 KiB block,
+ * checking the block once per row, and hands every full block to a
+ * sink at exactly 64 KiB. writeFile() gives the blocks to the file as
+ * they fill, so the rendered document is never held whole; only the
+ * sort keys are.
  */
 
 #ifndef COSERVE_OBS_TRACE_H
@@ -106,10 +111,13 @@ class ReplicaTracer
     void flow(const char *name, std::int32_t tid, Time ts,
               std::int64_t id, bool start);
 
-    /** Name this process (pid) in the viewer. */
+    /**
+     * Name this process (pid) in the viewer. Any bytes are allowed:
+     * the export escapes quotes, backslashes and control characters.
+     */
     void setProcessName(const std::string &name);
 
-    /** Name thread @p tid of this process in the viewer. */
+    /** Name thread @p tid of this process in the viewer (as above). */
     void setThreadName(std::int32_t tid, const std::string &name);
 
     std::int32_t pid() const { return pid_; }
@@ -173,8 +181,8 @@ class Tracer
 
     /**
      * The one renderer behind toJson() and writeFile(): merge and
-     * sort the events, then hand the JSON to @p sink in blocks of at
-     * most 64 KiB.
+     * sort the events, then hand the JSON to @p sink in blocks of
+     * 64 KiB (the last one shorter).
      */
     void render(const TextSink &sink) const;
 

@@ -1,6 +1,7 @@
 #include "util/strutil.h"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -58,6 +59,14 @@ formatTime(Time t)
     else
         std::snprintf(buf, sizeof(buf), "%.2f s", ns / 1e9);
     return buf;
+}
+
+char *
+putG17(char *out, double x)
+{
+    return std::to_chars(out, out + kMaxG17Chars, x,
+                         std::chars_format::general, 17)
+        .ptr;
 }
 
 } // namespace coserve

@@ -2,7 +2,9 @@
  * @file
  * Tests for the deterministic observability layer: metrics-registry
  * primitives and snapshots, the virtual-time span tracer's Chrome
- * trace-event JSON, host-profile export, TelemetryConfig validation,
+ * trace-event JSON (pinned bytes, export order against a stable-sort
+ * oracle, escaped process names), the pinned bytes of the metrics
+ * JSON and sampler CSV, host-profile export, TelemetryConfig validation,
  * telemetry on/off schedule invariance (same decision digest and sim
  * metrics), trace byte-stability across repeat runs (online, and
  * static with replicas on threads), the registry export of every
@@ -15,8 +17,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,6 +118,39 @@ TEST(ObsMetricsTest, WriteJsonEmitsEveryMetric)
     EXPECT_NE(json.find("\"cluster.images\""), std::string::npos);
     EXPECT_NE(json.find("\"cluster.throughput\""), std::string::npos);
     EXPECT_NE(json.find("42"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(ObsMetricsTest, WriteJsonBytesArePinned)
+{
+    // Shortest-round-trip doubles printed with 17 significant digits,
+    // signed zero, exponents of both signs and int64 counters beyond
+    // 2^53: the exact bytes of the metrics JSON.
+    obs::MetricsRegistry reg;
+    reg.gauge("g.tenth").set(0.1);
+    reg.gauge("g.third").set(1.0 / 3.0);
+    reg.gauge("g.tiny").set(1e-7);
+    reg.gauge("g.big").set(1.2345678901234568e17);
+    reg.gauge("g.zero").set(0.0);
+    reg.gauge("g.negzero").set(-0.0);
+    reg.gauge("g.huge").set(1e300);
+    reg.counter("c.small").add(42);
+    reg.counter("c.wide").add(9'007'199'254'740'993);
+    reg.counter("c.negative").add(-1'234'567'890'123);
+    const std::string path = tempPath("obs_metrics_pinned.json");
+    ASSERT_TRUE(reg.snapshot().writeJson(path));
+    EXPECT_EQ(readFileText(path), "{\n"
+                                  "  \"c.negative\": -1234567890123,\n"
+                                  "  \"c.small\": 42,\n"
+                                  "  \"c.wide\": 9007199254740992,\n"
+                                  "  \"g.big\": 1.2345678901234568e+17,\n"
+                                  "  \"g.huge\": 1.0000000000000001e+300,\n"
+                                  "  \"g.negzero\": -0,\n"
+                                  "  \"g.tenth\": 0.10000000000000001,\n"
+                                  "  \"g.third\": 0.33333333333333331,\n"
+                                  "  \"g.tiny\": 9.9999999999999995e-08,\n"
+                                  "  \"g.zero\": 0\n"
+                                  "}\n");
     std::remove(path.c_str());
 }
 
@@ -235,6 +275,115 @@ TEST(ObsTraceTest, WriteFileStreamsTheToJsonBytesAcrossBlocks)
     std::remove(path.c_str());
 }
 
+/** 64-bit FNV-1a of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 14'695'981'039'346'656'037ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1'099'511'628'211ull;
+    }
+    return h;
+}
+
+TEST(ObsTraceTest, StreamedBytesArePinnedAcrossBlockSeams)
+{
+    // The document of WriteFileStreamsTheToJsonBytesAcrossBlocks,
+    // pinned by content as well as size: a byte corrupted where a row
+    // crosses a 64 KiB block boundary changes the hash. The hash was
+    // recorded from a renderer that wrote every field piecewise, so
+    // it does not depend on how rows are split into blocks.
+    obs::Tracer tracer(3);
+    recordPinnedFixture(tracer);
+    tracer.replica(2)->setThreadName(7, std::string(70'000, 'n'));
+    static const char *const kNames[] = {"batch", "queue wait", "load"};
+    for (int i = 0; i < 5000; ++i) {
+        const Time start = 1'000'003ll * i + i % 1000;
+        tracer.replica(1 + i % 2)->span(
+            kNames[i % 3], i % 4, start, start + 997 * (i % 13),
+            {"expert", i % 97}, {"size", -i}, {"seq", i});
+    }
+    const std::string path = tempPath("obs_seam_pinned_trace.json");
+    ASSERT_TRUE(tracer.writeFile(path));
+    const std::string text = readFileText(path);
+    EXPECT_EQ(text.size(), 659'811u);
+    EXPECT_EQ(fnv1a(text), 0xe1cbbe9e9f75b63dull);
+    std::remove(path.c_str());
+}
+
+TEST(ObsTraceTest, ExportOrderMatchesStableSortOracle)
+{
+    // Heavy cross-pid ties, out-of-order records within a buffer,
+    // negative timestamps and a span of nearly 2^64 ns: the export
+    // order must be a stable sort by timestamp of the buffers
+    // concatenated in pid order. Every event carries a unique "seq".
+    constexpr int kPids = 4;
+    obs::Tracer tracer(kPids);
+    std::mt19937_64 rng(0x5eed);
+    const Time extremes[] = {
+        std::numeric_limits<Time>::min(),
+        std::numeric_limits<Time>::min() + 999,
+        -(Time{1} << 62) - 1,
+        -1,
+        0,
+        Time{1} << 62,
+        std::numeric_limits<Time>::max(),
+    };
+    struct Recorded
+    {
+        Time ts;
+        std::int64_t seq;
+    };
+    std::vector<Recorded> oracle;
+    std::int64_t seq = 0;
+    for (int pid = 0; pid < kPids; ++pid) {
+        obs::ReplicaTracer *buf = tracer.replica(pid);
+        for (int i = 0; i < 3000; ++i) {
+            Time ts;
+            switch (rng() % 4) {
+            case 0: // a handful of shared values: ties across pids
+                ts = static_cast<Time>(rng() % 8) * 1000;
+                break;
+            case 1:
+                ts = extremes[rng() % std::size(extremes)];
+                break;
+            default: // anywhere in a +-1 s window, unordered
+                ts = static_cast<Time>(rng() % 2'000'000'000) -
+                     1'000'000'000;
+                break;
+            }
+            if (rng() % 2 == 0) {
+                buf->instant("tick", pid, ts, {"seq", seq});
+            } else {
+                // Short spans away from the top of the range, so the
+                // end time cannot overflow.
+                const Time end =
+                    ts < (Time{1} << 62) ? ts + 1 + rng() % 5000 : ts;
+                buf->span("work", pid, ts, end, {"pid", pid},
+                          {"seq", seq});
+            }
+            oracle.push_back({ts, seq});
+            ++seq;
+        }
+    }
+    std::stable_sort(oracle.begin(), oracle.end(),
+                     [](const Recorded &a, const Recorded &b) {
+                         return a.ts < b.ts;
+                     });
+
+    const std::string json = tracer.toJson();
+    std::vector<std::int64_t> exported;
+    const std::string key = "\"seq\":";
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        exported.push_back(std::stoll(json.substr(at + key.size(), 24)));
+    }
+    ASSERT_EQ(exported.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i)
+        ASSERT_EQ(exported[i], oracle[i].seq) << "row " << i;
+}
+
 // ------------------------------------------------------- host profile
 
 TEST(ObsHostProfileTest, ExportAccumulatesPerPhaseGauges)
@@ -317,6 +466,50 @@ TEST(ObsTelemetryOutputTest, FullDeviceFailsFinishWithoutAborting)
     }
 }
 
+TEST(ObsTelemetryOutputTest, SamplerCsvBytesArePinned)
+{
+    obs::TelemetryConfig cfg;
+    cfg.enabled = true;
+    cfg.metricsCsvPath = tempPath("obs_pinned_metrics.csv");
+    cfg.sampleInterval = 333'333'333;
+    obs::Telemetry telem(cfg, 2);
+    const double gauges[][3] = {
+        {0.1, 1.0 / 3.0, 1e-7},
+        {1.2345678901234568e17, 0.0, -0.0},
+        {1e300, 0.5, 1.0},
+    };
+    const std::int64_t counts[][4] = {
+        {0, 0, 0, 0},
+        {17, 1'234'567'890'123, -5, 9'223'372'036'854'775'807},
+        {-9'223'372'036'854'775'807 - 1, 42, 3, 1},
+    };
+    for (int i = 0; i < 3; ++i) {
+        obs::SampleRow row;
+        row.t = telem.nextSampleTime();
+        row.queueDepth = counts[i][0];
+        row.activeReplicas = i;
+        row.images = counts[i][1];
+        row.inferences = counts[i][2];
+        row.goodputImgPerSec = gauges[i][0];
+        row.preemptions = counts[i][3];
+        row.gpuHitRate = gauges[i][1];
+        row.cpuHitRate = gauges[i][2];
+        telem.recordSample(row);
+    }
+    obs::MetricsSnapshot snap;
+    ASSERT_TRUE(telem.finish(snap));
+    EXPECT_EQ(readFileText(cfg.metricsCsvPath),
+              "t_s,queue_depth,active_replicas,images,inferences,"
+              "goodput_img_per_s,preemptions,gpu_hit_rate,cpu_hit_rate\n"
+              "0.33333333300000001,0,0,0,0,0.10000000000000001,0,"
+              "0.33333333333333331,9.9999999999999995e-08\n"
+              "0.66666666600000002,17,1,1234567890123,-5,"
+              "1.2345678901234568e+17,9223372036854775807,0,-0\n"
+              "0.99999999900000003,-9223372036854775808,2,42,3,"
+              "1.0000000000000001e+300,1,0.5,1\n");
+    std::remove(cfg.metricsCsvPath.c_str());
+}
+
 TEST(ObsTelemetryOutputTest, MissingDirectoryFailsFinish)
 {
     for (auto field : kOutputPaths) {
@@ -329,6 +522,23 @@ TEST(ObsTelemetryOutputTest, MissingDirectoryFailsFinish)
                 std::remove((cfg.*other).c_str());
         }
     }
+}
+
+/**
+ * @p path's text without the metrics-JSON lines of host.* gauges:
+ * those hold wall-clock times (the trace export's among them), which
+ * differ between two otherwise identical finishes.
+ */
+std::string
+readOutputText(const std::string &path)
+{
+    std::istringstream in(readFileText(path));
+    std::string text, line;
+    while (std::getline(in, line)) {
+        if (line.rfind("  \"host.", 0) != 0)
+            text += line + '\n';
+    }
+    return text;
 }
 
 TEST(ObsTelemetryOutputTest, ReplacesFilesAndWritesThroughLinks)
@@ -348,7 +558,7 @@ TEST(ObsTelemetryOutputTest, ReplacesFilesAndWritesThroughLinks)
     ASSERT_TRUE(finishTelemetry(plain, snap));
     std::vector<std::string> fresh;
     for (auto field : kOutputPaths) {
-        fresh.push_back(readFileText(plain.*field));
+        fresh.push_back(readOutputText(plain.*field));
         EXPECT_EQ(fresh.back().find('x'), std::string::npos)
             << plain.*field;
     }
@@ -376,7 +586,7 @@ TEST(ObsTelemetryOutputTest, ReplacesFilesAndWritesThroughLinks)
               0);
     ASSERT_TRUE(finishTelemetry(linked, snap));
     for (std::size_t i = 0; i < targets.size(); ++i)
-        EXPECT_EQ(readFileText(targets[i]), fresh[i]) << targets[i];
+        EXPECT_EQ(readOutputText(targets[i]), fresh[i]) << targets[i];
     struct stat st;
     ASSERT_EQ(::lstat(linked.tracePath.c_str(), &st), 0);
     EXPECT_TRUE(S_ISLNK(st.st_mode));
@@ -556,6 +766,9 @@ TEST_F(ObsFixture, TelemetryOnLeavesScheduleByteIdentical)
     EXPECT_FALSE(readFileText(on.telemetry.tracePath).empty());
     EXPECT_FALSE(readFileText(on.telemetry.metricsJsonPath).empty());
     EXPECT_FALSE(readFileText(on.telemetry.metricsCsvPath).empty());
+    // The trace write is timed into the host profile.
+    EXPECT_NE(ron.metrics.find("host.trace_export_us"), nullptr);
+    EXPECT_EQ(roff.metrics.find("host.trace_export_us"), nullptr);
     // The result carries the one snapshot the run wrote as JSON, host
     // gauges included.
     const std::string again = tempPath("obs_onoff_again.json");
@@ -615,6 +828,101 @@ TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRuns)
     removeOutputs(b);
     removeOutputs(c);
     removeOutputs(d);
+}
+
+/**
+ * The decoded strings of one JSON object row, in order, as a strict
+ * parser (Python's json.load, which tools/check_trace.py uses) reads
+ * them. Fails the test on a raw control character or an unknown
+ * escape inside a string, or on braces that do not balance.
+ */
+std::vector<std::string>
+jsonRowStrings(const std::string &row)
+{
+    std::vector<std::string> out;
+    int depth = 0;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+        if (row[i] == '{')
+            ++depth;
+        else if (row[i] == '}')
+            --depth;
+        if (row[i] != '"')
+            continue;
+        std::string s;
+        for (++i; i < row.size() && row[i] != '"'; ++i) {
+            const auto c = static_cast<unsigned char>(row[i]);
+            EXPECT_GE(c, 0x20u) << "raw control byte in " << row;
+            if (c != '\\') {
+                s += row[i];
+                continue;
+            }
+            const char e = row[++i];
+            switch (e) {
+            case '"':
+            case '\\':
+            case '/':
+                s += e;
+                break;
+            case 'b':
+                s += '\b';
+                break;
+            case 'f':
+                s += '\f';
+                break;
+            case 'n':
+                s += '\n';
+                break;
+            case 'r':
+                s += '\r';
+                break;
+            case 't':
+                s += '\t';
+                break;
+            case 'u':
+                s += static_cast<char>(std::stoi(row.substr(i + 1, 4),
+                                                 nullptr, 16));
+                i += 4;
+                break;
+            default:
+                ADD_FAILURE() << "bad escape \\" << e << " in " << row;
+            }
+        }
+        EXPECT_LT(i, row.size()) << "unterminated string in " << row;
+        out.push_back(s);
+    }
+    EXPECT_EQ(depth, 0) << row;
+    return out;
+}
+
+TEST_F(ObsFixture, LabelWithJsonSpecialsRoundTripsThroughTheTrace)
+{
+    // Process names come from the user's cluster label; quotes,
+    // backslashes and control characters in it must be escaped, or
+    // the trace is not JSON.
+    const std::string label = "obs \"q\" \\ back\nline\ttab\x01\x1f end";
+    ClusterConfig cc = obsConfig(2, false);
+    cc.label = label;
+    RunOptions opts = runWithMode(RunMode::Online);
+    opts.telemetry.enabled = true;
+    opts.telemetry.tracePath = tempPath("obs_label_trace.json");
+    ClusterEngine(cc).run(trace_, opts);
+
+    std::istringstream in(readFileText(opts.telemetry.tracePath));
+    std::vector<std::string> processNames;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("{\"ph\":\"M\"", 0) != 0)
+            continue;
+        const std::vector<std::string> strings = jsonRowStrings(line);
+        ASSERT_GE(strings.size(), 4u) << line;
+        if (strings[strings.size() - 4] == "process_name")
+            processNames.push_back(strings.back());
+    }
+    EXPECT_EQ(processNames,
+              (std::vector<std::string>{"coordinator",
+                                        label + "/replica0",
+                                        label + "/replica1"}));
+    std::remove(opts.telemetry.tracePath.c_str());
 }
 
 TEST_F(ObsFixture, StaticPreemptionDigestIgnoresSamplerCuts)

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the util module: time formatting, RNG, statistics,
- * linear fitting, tables and CSV output.
+ * linear fitting and tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "util/csv.h"
 #include "util/linear_fit.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -54,6 +58,35 @@ TEST(StrutilTest, FormatPercentAndDouble)
 {
     EXPECT_EQ(formatPercent(0.1234, 1), "12.3%");
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");
+}
+
+TEST(StrutilTest, PutG17MatchesPrintf)
+{
+    // putG17 stands in for "%.17g" in the metrics JSON and sampler
+    // CSV, so it must give the same bytes for every double: special
+    // values, the extremes, and seeded random bit patterns.
+    std::vector<double> values = {
+        0.1, 1.0 / 3.0, 1e-7, 1.2345678901234568e17, 0.0, -0.0, 1e300,
+        1e16, 1e17, 1e-5, 1e-4, 100.0, 5e-324, -2.2250738585072014e-308,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    std::mt19937_64 bits(17);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t u = bits();
+        double v = 0.0;
+        std::memcpy(&v, &u, sizeof(v));
+        values.push_back(v);
+    }
+    for (const double v : values) {
+        char want[64];
+        std::snprintf(want, sizeof(want), "%.17g", v);
+        char got[kMaxG17Chars];
+        EXPECT_EQ(std::string(got, putG17(got, v)), want);
+    }
 }
 
 TEST(RngTest, DeterministicForSameSeed)
@@ -239,34 +272,6 @@ TEST(TableTest, AlignsColumns)
     EXPECT_NE(out.find("name"), std::string::npos);
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(CsvTest, WritesQuotedCells)
-{
-    const std::string path = "/tmp/coserve_csv_test.csv";
-    {
-        CsvWriter w(path, {"a", "b"});
-        w.addRow({"plain", "with,comma"});
-        w.addRow({"with\"quote", "x"});
-        EXPECT_EQ(w.rows(), 2u);
-        EXPECT_TRUE(w.ok());
-        EXPECT_TRUE(w.close());
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "a,b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "plain,\"with,comma\"");
-    std::remove(path.c_str());
-}
-
-TEST(CsvTest, OpenFailureIsReportedNotFatal)
-{
-    CsvWriter w("/nonexistent-dir/coserve_csv_test.csv", {"a"});
-    EXPECT_FALSE(w.ok());
-    w.addRow({"dropped"});
-    EXPECT_FALSE(w.close());
 }
 
 } // namespace
