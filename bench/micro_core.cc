@@ -60,6 +60,7 @@ BM_EvictionSelection(benchmark::State &state)
     const DependencyGraph deps(model);
     const UsageProfile usage = UsageProfile::exact(model);
     ModelPool pool("bench", 1ll << 40);
+    pool.trackDependencies(&deps);
     for (ExpertId e = 0; e < static_cast<ExpertId>(state.range(0)); ++e)
         pool.insertResident(e, 190ll << 20, static_cast<uint64_t>(e), e);
 

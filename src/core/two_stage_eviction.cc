@@ -8,13 +8,7 @@ bool
 TwoStageEviction::lacksPreliminary(ExpertId e, const MemoryTier &pool,
                                    const EvictionContext &ctx)
 {
-    if (!ctx.deps->isSubsequent(e))
-        return false;
-    for (ExpertId pre : ctx.deps->preliminariesOf(e)) {
-        if (pool.contains(pre))
-            return false;
-    }
-    return true;
+    return ctx.deps->isSubsequent(e) && pool.tieredPreliminaries(e) == 0;
 }
 
 std::optional<ExpertId>
@@ -23,6 +17,8 @@ TwoStageEviction::selectVictim(const MemoryTier &pool,
 {
     COSERVE_CHECK(ctx.deps != nullptr && ctx.usage != nullptr,
                   "two-stage eviction needs dependency/usage context");
+    COSERVE_CHECK(pool.dependencies() == ctx.deps, "two-stage eviction on ",
+                  pool.name(), ", which does not track the dependencies");
 
     // Stage 1: subsequent experts without a resident preliminary,
     // largest footprint first.
@@ -32,7 +28,8 @@ TwoStageEviction::selectVictim(const MemoryTier &pool,
     std::optional<ExpertId> stage2;
     double stage2Prob = 0.0;
 
-    // detlint:allow(unordered-iter) both stages select with full-order tie-breaks (bytes/probability, then id)
+    // Both stages select with full-order tie-breaks (bytes or
+    // probability, then id), independent of member order.
     for (const auto &[id, entry] : pool.entries()) {
         if (!evictable(entry, ctx))
             continue;

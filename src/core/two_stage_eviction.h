@@ -4,7 +4,7 @@
  *
  * Two-stage eviction:
  *  - Stage 1: evict *subsequent* (detection) experts none of whose
- *    preliminary (classification) experts is resident in the same pool
+ *    preliminary (classification) experts is in the same pool
  *    — they cannot run until a preliminary expert is loaded first, so
  *    keeping them is wasted memory. Victims are taken in descending
  *    memory-footprint order to minimize the number of evictions.
@@ -25,12 +25,20 @@ class TwoStageEviction : public EvictionPolicy
   public:
     const char *name() const override { return "two-stage"; }
 
+    /**
+     * @p pool must track @p ctx's dependency graph
+     * (MemoryTier::trackDependencies); the engine attaches its pools.
+     */
     std::optional<ExpertId>
     selectVictim(const MemoryTier &pool, const EvictionContext &ctx)
         override;
 
   private:
-    /** True when no preliminary expert of @p e is resident in @p pool. */
+    /**
+     * True when @p e is subsequent and none of its preliminaries is
+     * tiered (resident or loading) in @p pool: O(1) from the counts
+     * the pool keeps for its tracked dependency graph.
+     */
     static bool lacksPreliminary(ExpertId e, const MemoryTier &pool,
                                  const EvictionContext &ctx);
 };

@@ -321,15 +321,39 @@ struct SortKey
 static_assert(sizeof(SortKey) == 16, "SortKey is sized for the sort");
 
 /**
- * Stable LSD radix sort of @p keys[0, @p n) by timestamp, whose range
- * is [@p lo, @p hi]. The digits are those of ts - lo, computed in
- * unsigned arithmetic: 11 bits a pass, and only as many passes as
+ * The sort's key array and its second buffer, kept per thread across
+ * exports: arrays this large (~340 KB each on a fig25-sized trace)
+ * would otherwise be fresh mappings whose every page faults in again
+ * on each export.
+ */
+struct SortBuffers
+{
+    std::unique_ptr<SortKey[]> keys;
+    std::unique_ptr<SortKey[]> tmp;
+    std::size_t capacity = 0;
+
+    /** Make room for @p n keys in both buffers (contents dropped). */
+    void
+    reserve(std::size_t n)
+    {
+        if (n <= capacity)
+            return;
+        keys.reset(new SortKey[n]);
+        tmp.reset(new SortKey[n]);
+        capacity = n;
+    }
+};
+
+/**
+ * Stable LSD radix sort of @p buf.keys[0, @p n) by timestamp, whose
+ * range is [@p lo, @p hi], leaving the result in @p buf.keys (the two
+ * buffers may trade places). The digits are those of ts - lo, computed
+ * in unsigned arithmetic: 11 bits a pass, and only as many passes as
  * hi - lo needs; a pass whose digit every key shares is skipped.
  * Stability keeps equal timestamps in collection order.
  */
 void
-radixSort(std::unique_ptr<SortKey[]> &keys, std::size_t n, Time lo,
-          Time hi)
+radixSort(SortBuffers &buf, std::size_t n, Time lo, Time hi)
 {
     constexpr int kDigitBits = 11;
     constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
@@ -345,6 +369,8 @@ radixSort(std::unique_ptr<SortKey[]> &keys, std::size_t n, Time lo,
         return static_cast<std::size_t>(
             ((static_cast<std::uint64_t>(k.ts) - base) >> shift) & kMask);
     };
+    SortKey *keys = buf.keys.get();
+    SortKey *tmp = buf.tmp.get();
     // Every pass's digit histogram in one read of the keys.
     std::vector<std::size_t> counts(
         static_cast<std::size_t>(passes) * kBuckets);
@@ -354,14 +380,11 @@ radixSort(std::unique_ptr<SortKey[]> &keys, std::size_t n, Time lo,
                      digit(keys[i], d * kDigitBits)];
         }
     }
-    std::unique_ptr<SortKey[]> tmp;
     for (int d = 0; d < passes; ++d) {
         std::size_t *c = &counts[static_cast<std::size_t>(d) * kBuckets];
         const int shift = d * kDigitBits;
         if (c[digit(keys[0], shift)] == n)
             continue;
-        if (!tmp)
-            tmp.reset(new SortKey[n]);
         std::size_t sum = 0;
         for (std::size_t b = 0; b < kBuckets; ++b) {
             const std::size_t cnt = c[b];
@@ -370,7 +393,8 @@ radixSort(std::unique_ptr<SortKey[]> &keys, std::size_t n, Time lo,
         }
         for (std::size_t i = 0; i < n; ++i)
             tmp[c[digit(keys[i], shift)]++] = keys[i];
-        keys.swap(tmp);
+        buf.keys.swap(buf.tmp);
+        std::swap(keys, tmp);
     }
 }
 
@@ -470,7 +494,9 @@ Tracer::render(const TextSink &sink) const
     // so the merged order — and therefore the bytes — is independent
     // of how replica threads interleaved on the host.
     const std::size_t n = eventCount();
-    std::unique_ptr<SortKey[]> keys(new SortKey[n]);
+    thread_local SortBuffers sortBuffers;
+    sortBuffers.reserve(n);
+    SortKey *keys = sortBuffers.keys.get();
     Time lo = std::numeric_limits<Time>::max();
     Time hi = std::numeric_limits<Time>::min();
     std::size_t at = 0;
@@ -484,7 +510,8 @@ Tracer::render(const TextSink &sink) const
             hi = std::max(hi, ts);
         }
     }
-    radixSort(keys, n, lo, hi);
+    radixSort(sortBuffers, n, lo, hi);
+    keys = sortBuffers.keys.get();
 
     Block out(sink);
     static constexpr char kHead[] = "{\"traceEvents\":[\n";

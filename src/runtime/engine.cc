@@ -68,6 +68,7 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
                                                TierLevel::Gpu);
         gpuPool_->linkBelow(cpuTier_);
         gpuPool_->trackPresence(&presence_);
+        gpuPool_->trackDependencies(&deps_);
     }
     if (cpuPoolBytes > 0) {
         // CPU executor pool: same DRAM as the cache tier; evictions
@@ -75,6 +76,7 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
         cpuPool_ = std::make_unique<ModelPool>("cpu.pool", cpuPoolBytes,
                                                TierLevel::CpuDram);
         cpuPool_->trackPresence(&presence_);
+        cpuPool_->trackDependencies(&deps_);
     }
     presence_.reserve(model_.numExperts());
 

@@ -1,5 +1,6 @@
 #include "runtime/memory_tier.h"
 
+#include "coe/dependency.h"
 #include "runtime/expert_presence.h"
 #include "runtime/policies.h"
 #include "util/logging.h"
@@ -34,18 +35,33 @@ MemoryTier::setEvictionPolicy(std::unique_ptr<EvictionPolicy> policy)
     policy_ = std::move(policy);
 }
 
-bool
-MemoryTier::resident(ExpertId e) const
+void
+MemoryTier::trackDependencies(const DependencyGraph *deps)
 {
-    auto it = entries_.find(e);
-    return it != entries_.end() && !it->second.loading;
+    deps_ = deps;
+    tieredPreliminaries_.assign(deps != nullptr ? deps->size() : 0, 0);
+    for (const Member &m : members_)
+        countDependents(m.first, +1);
 }
 
-bool
-MemoryTier::loading(ExpertId e) const
+void
+MemoryTier::countDependents(ExpertId e, int delta)
 {
-    auto it = entries_.find(e);
-    return it != entries_.end() && it->second.loading;
+    if (deps_ == nullptr)
+        return;
+    for (ExpertId sub : deps_->subsequentsOf(e))
+        tieredPreliminaries_[static_cast<std::size_t>(sub)] += delta;
+}
+
+void
+MemoryTier::addMember(ExpertId e, const TierEntry &entry)
+{
+    COSERVE_CHECK(e >= 0, "tiering expert ", e, " in ", name_);
+    if (static_cast<std::size_t>(e) >= slot_.size())
+        slot_.resize(static_cast<std::size_t>(e) + 1, kAbsent);
+    slot_[e] = static_cast<std::int32_t>(members_.size());
+    members_.emplace_back(e, entry);
+    countDependents(e, +1);
 }
 
 void
@@ -61,7 +77,7 @@ MemoryTier::beginLoad(ExpertId e, std::int64_t bytes, std::uint64_t seq)
     entry.loadSeq = seq;
     entry.loading = true;
     entry.pins = 1; // loads hard-pin themselves until completion
-    entries_.emplace(e, entry);
+    addMember(e, entry);
     used_ += bytes;
     counters_.insertions += 1;
 }
@@ -91,7 +107,7 @@ MemoryTier::insertResident(ExpertId e, std::int64_t bytes,
     entry.bytes = bytes;
     entry.loadSeq = seq;
     entry.lastUse = now;
-    entries_.emplace(e, entry);
+    addMember(e, entry);
     used_ += bytes;
     counters_.insertions += 1;
     if (presence_ != nullptr)
@@ -101,12 +117,18 @@ MemoryTier::insertResident(ExpertId e, std::int64_t bytes,
 void
 MemoryTier::erase(ExpertId e)
 {
-    auto it = entries_.find(e);
-    COSERVE_CHECK(it != entries_.end(), "evicting absent expert ", e);
-    COSERVE_CHECK(it->second.pins == 0, "evicting pinned expert ", e);
-    COSERVE_CHECK(!it->second.loading, "evicting in-flight expert ", e);
-    used_ -= it->second.bytes;
-    entries_.erase(it);
+    const std::int32_t s = slotOf(e);
+    COSERVE_CHECK(s != kAbsent, "evicting absent expert ", e);
+    const TierEntry &gone = members_[s].second;
+    COSERVE_CHECK(gone.pins == 0, "evicting pinned expert ", e);
+    COSERVE_CHECK(!gone.loading, "evicting in-flight expert ", e);
+    used_ -= gone.bytes;
+    // Fill the hole with the last member.
+    members_[s] = std::move(members_.back());
+    slot_[members_[s].first] = s;
+    members_.pop_back();
+    slot_[e] = kAbsent;
+    countDependents(e, -1);
     if (presence_ != nullptr)
         presence_->removeResident(e);
 }
@@ -153,27 +175,25 @@ MemoryTier::softPin(ExpertId e)
 void
 MemoryTier::softUnpin(ExpertId e)
 {
-    auto it = entries_.find(e);
-    if (it != entries_.end())
-        it->second.softPinned = false;
+    const std::int32_t s = slotOf(e);
+    if (s != kAbsent)
+        members_[s].second.softPinned = false;
 }
 
 const TierEntry &
 MemoryTier::entry(ExpertId e) const
 {
-    auto it = entries_.find(e);
-    COSERVE_CHECK(it != entries_.end(), "expert ", e, " not in tier ",
-                  name_);
-    return it->second;
+    const std::int32_t s = slotOf(e);
+    COSERVE_CHECK(s != kAbsent, "expert ", e, " not in tier ", name_);
+    return members_[s].second;
 }
 
 TierEntry &
 MemoryTier::mutableEntry(ExpertId e)
 {
-    auto it = entries_.find(e);
-    COSERVE_CHECK(it != entries_.end(), "expert ", e, " not in tier ",
-                  name_);
-    return it->second;
+    const std::int32_t s = slotOf(e);
+    COSERVE_CHECK(s != kAbsent, "expert ", e, " not in tier ", name_);
+    return members_[s].second;
 }
 
 bool
@@ -181,20 +201,21 @@ MemoryTier::insert(ExpertId e, std::int64_t bytes, Time now)
 {
     if (capacity_ == 0 || bytes <= 0 || bytes > capacity_)
         return false;
-    auto it = entries_.find(e);
-    if (it != entries_.end()) {
+    if (contains(e)) {
         // Resident re-insert: adopt the new size instead of
         // double-counting the old bytes, and refresh recency.
-        const std::int64_t oldBytes = it->second.bytes;
+        TierEntry &old = mutableEntry(e);
+        const std::int64_t oldBytes = old.bytes;
         used_ += bytes - oldBytes;
-        it->second.bytes = bytes;
-        it->second.lastUse = now;
+        old.bytes = bytes;
+        old.lastUse = now;
         if (used_ > capacity_) {
             // The entry grew: shrink around it (it is pinned for the
             // duration so the scan cannot select it). When only
             // protected entries remain, roll the resize back rather
-            // than leaving the tier over capacity.
-            it->second.pins += 1;
+            // than leaving the tier over capacity. Evictions move
+            // members, so the entry is looked up again afterwards.
+            old.pins += 1;
             const bool fits = makeRoom(0, now);
             TierEntry &entry = mutableEntry(e);
             entry.pins -= 1;
@@ -211,7 +232,7 @@ MemoryTier::insert(ExpertId e, std::int64_t bytes, Time now)
     TierEntry entry;
     entry.bytes = bytes;
     entry.lastUse = now;
-    entries_.emplace(e, entry);
+    addMember(e, entry);
     used_ += bytes;
     counters_.insertions += 1;
     if (presence_ != nullptr)
@@ -238,8 +259,7 @@ MemoryTier::makeRoom(std::int64_t need, Time now)
             // victims under libstdc++ vs libc++ bucket orders — a
             // cross-stdlib digest divergence waiting for a tie.
             Time oldest = kTimeNever;
-            // detlint:allow(unordered-iter) full-order victim selection (lastUse, then id) is independent of visit order
-            for (const auto &[id, entry] : entries_) {
+            for (const auto &[id, entry] : members_) {
                 if (entry.pins > 0 || entry.loading)
                     continue;
                 if (entry.lastUse < oldest ||
@@ -268,9 +288,9 @@ MemoryTier::warm(ExpertId e, std::int64_t bytes)
 void
 MemoryTier::refresh(ExpertId e, Time now)
 {
-    auto it = entries_.find(e);
-    if (it != entries_.end())
-        it->second.lastUse = now;
+    const std::int32_t s = slotOf(e);
+    if (s != kAbsent)
+        members_[s].second.lastUse = now;
 }
 
 TierStats

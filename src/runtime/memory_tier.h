@@ -33,7 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "metrics/run_result.h"
 #include "model/expert.h"
@@ -43,6 +44,7 @@
 
 namespace coserve {
 
+class DependencyGraph; // coe/dependency.h
 class EvictionPolicy; // runtime/policies.h
 class ExpertPresence; // runtime/expert_presence.h
 
@@ -197,6 +199,28 @@ class MemoryTier : public TierBelow
     void trackPresence(ExpertPresence *presence) { presence_ = presence; }
 
     /**
+     * Count, for every expert of @p deps (not owned; must outlive the
+     * tier), how many of its preliminaries are tiered here (resident
+     * or loading, as contains() answers). The counts are kept at every
+     * insert and erase, so dependency-aware eviction asks "is any
+     * preliminary present?" in O(1) instead of probing each one.
+     */
+    void trackDependencies(const DependencyGraph *deps);
+
+    /** @return the graph attached by trackDependencies, or null. */
+    const DependencyGraph *dependencies() const { return deps_; }
+
+    /**
+     * @return number of @p e's preliminaries tiered here; needs
+     *         trackDependencies.
+     */
+    int
+    tieredPreliminaries(ExpertId e) const
+    {
+        return tieredPreliminaries_[static_cast<std::size_t>(e)];
+    }
+
+    /**
      * Install the policy used for cache-style self-eviction (insert /
      * admit making room). Null restores the built-in LRU scan. The
      * EvictionContext handed to a self-eviction policy carries only
@@ -216,13 +240,23 @@ class MemoryTier : public TierBelow
     // ----- pool API (ModelPool) -------------------------------------
 
     /** @return true when @p e is resident or loading. */
-    bool contains(ExpertId e) const { return entries_.count(e) > 0; }
+    bool contains(ExpertId e) const { return slotOf(e) != kAbsent; }
 
     /** @return true when @p e is resident and ready to execute. */
-    bool resident(ExpertId e) const;
+    bool
+    resident(ExpertId e) const
+    {
+        const std::int32_t s = slotOf(e);
+        return s != kAbsent && !members_[s].second.loading;
+    }
 
     /** @return true when @p e has a load in flight. */
-    bool loading(ExpertId e) const;
+    bool
+    loading(ExpertId e) const
+    {
+        const std::int32_t s = slotOf(e);
+        return s != kAbsent && members_[s].second.loading;
+    }
 
     /** Reserve space and mark @p e loading. Space must be available. */
     void beginLoad(ExpertId e, std::int64_t bytes, std::uint64_t seq);
@@ -251,19 +285,18 @@ class MemoryTier : public TierBelow
     /** @return entry for @p e; panics when absent. */
     const TierEntry &entry(ExpertId e) const;
 
+    /** One tiered expert and its bookkeeping. */
+    using Member = std::pair<ExpertId, TierEntry>;
+
     /**
-     * @return all entries (iteration order unspecified — it differs
-     *         across standard libraries). Callers that derive
-     *         anything order-sensitive (victim choice, snapshots)
-     *         must either sort or select with a full-order tie-break
-     *         (see baselines/evictions.cc); detlint's unordered-iter
-     *         rule flags every iteration site so each carries an
-     *         audited justification.
+     * @return all entries, in a deterministic order that is not
+     *         meaningful (an erase moves the last member into the
+     *         freed place). Callers that derive anything
+     *         order-sensitive (victim choice, snapshots) must either
+     *         sort or select with a full-order tie-break (see
+     *         baselines/evictions.cc).
      */
-    const std::unordered_map<ExpertId, TierEntry> &entries() const
-    {
-        return entries_;
-    }
+    const std::vector<Member> &entries() const { return members_; }
 
     /** @return configured capacity in bytes. */
     std::int64_t capacityBytes() const { return capacity_; }
@@ -275,7 +308,7 @@ class MemoryTier : public TierBelow
     std::int64_t freeBytes() const { return capacity_ - used_; }
 
     /** @return number of tiered experts (incl. loading). */
-    std::size_t count() const { return entries_.size(); }
+    std::size_t count() const { return members_.size(); }
 
     // ----- cache API ------------------------------------------------
 
@@ -322,13 +355,32 @@ class MemoryTier : public TierBelow
     TierStats stats() const override;
 
   private:
+    static constexpr std::int32_t kAbsent = -1;
+
+    /** Index of @p e in members_, or kAbsent. */
+    std::int32_t
+    slotOf(ExpertId e) const
+    {
+        return static_cast<std::size_t>(e) < slot_.size() ? slot_[e]
+                                                          : kAbsent;
+    }
+
     TierEntry &mutableEntry(ExpertId e);
+
+    /**
+     * Add @p entry for absent @p e; bytes, counters and presence are
+     * the caller's.
+     */
+    void addMember(ExpertId e, const TierEntry &entry);
+
+    /** Adjust the tiered-preliminary counts of @p e's subsequents. */
+    void countDependents(ExpertId e, int delta);
 
     /**
      * Self-evict until @p need more bytes fit, via the installed policy
      * or the built-in LRU scan (skipping pinned / loading entries;
      * lastUse ties broken by smallest ExpertId so the victim never
-     * depends on hash-map iteration order).
+     * depends on member order).
      * @return false when no evictable victim remains.
      */
     bool makeRoom(std::int64_t need, Time now);
@@ -337,7 +389,16 @@ class MemoryTier : public TierBelow
     TierLevel level_;
     std::int64_t capacity_;
     std::int64_t used_ = 0;
-    std::unordered_map<ExpertId, TierEntry> entries_;
+    /**
+     * The tiered experts: slot_ maps each (dense, small) ExpertId to
+     * its index in members_, so lookups are array reads and iteration
+     * walks only the members.
+     */
+    std::vector<std::int32_t> slot_;
+    std::vector<Member> members_;
+    const DependencyGraph *deps_ = nullptr;
+    /** Per expert of deps_: its preliminaries tiered here. */
+    std::vector<std::int32_t> tieredPreliminaries_;
     TierBelow *below_ = nullptr;
     ExpertPresence *presence_ = nullptr;
     std::unique_ptr<EvictionPolicy> policy_;

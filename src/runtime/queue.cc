@@ -169,20 +169,9 @@ RequestQueue::bestExpert() const
         // Plain queue: head group pops first, exactly as pre-SLO.
         return nodes_[head_].entry.req.expert;
     }
-    ExpertId best = kNoExpert;
-    int bestPrio = 0;
-    Time bestDeadline = kTimeNever;
-    for (NodeIdx i = head_; i != kNil; i = nodes_[i].next) {
-        const Request &r = nodes_[i].entry.req;
-        const int prio = priorityOf(r.cls);
-        if (best == kNoExpert ||
-            moreUrgent(prio, r.deadline, bestPrio, bestDeadline)) {
-            best = r.expert;
-            bestPrio = prio;
-            bestDeadline = r.deadline;
-        }
-    }
-    return best;
+    if (!topValid_)
+        rescanTop();
+    return top_[0].expert;
 }
 
 ExpertId
@@ -190,49 +179,53 @@ RequestQueue::prefetchExpert() const
 {
     if (sloUrgent_ == 0)
         return nextDistinctExpert();
-    // One pass tracking the two most urgent *distinct* experts (the
-    // per-expert maximum urgency decides): the runner-up is the group
-    // that runs after the next one — the prefetch target.
-    ExpertId best = kNoExpert, second = kNoExpert;
-    int bestPrio = 0, secondPrio = 0;
-    Time bestDl = kTimeNever, secondDl = kTimeNever;
-    for (NodeIdx i = head_; i != kNil; i = nodes_[i].next) {
-        const Request &r = nodes_[i].entry.req;
-        const int prio = priorityOf(r.cls);
-        if (r.expert == best) {
-            if (moreUrgent(prio, r.deadline, bestPrio, bestDl)) {
-                bestPrio = prio;
-                bestDl = r.deadline;
-            }
-        } else if (r.expert == second) {
-            if (moreUrgent(prio, r.deadline, secondPrio, secondDl)) {
-                secondPrio = prio;
-                secondDl = r.deadline;
-                // The runner-up's accumulated urgency may overtake.
-                if (moreUrgent(secondPrio, secondDl, bestPrio,
-                               bestDl)) {
-                    std::swap(best, second);
-                    std::swap(bestPrio, secondPrio);
-                    std::swap(bestDl, secondDl);
-                }
-            }
-        } else if (best == kNoExpert ||
-                   moreUrgent(prio, r.deadline, bestPrio, bestDl)) {
-            second = best;
-            secondPrio = bestPrio;
-            secondDl = bestDl;
-            best = r.expert;
-            bestPrio = prio;
-            bestDl = r.deadline;
-        } else if (second == kNoExpert ||
-                   moreUrgent(prio, r.deadline, secondPrio,
-                              secondDl)) {
-            second = r.expert;
-            secondPrio = prio;
-            secondDl = r.deadline;
+    if (!topValid_)
+        rescanTop();
+    return top_[1].expert;
+}
+
+void
+RequestQueue::rescanTop() const
+{
+    top_[0] = Urgency{};
+    top_[1] = Urgency{};
+    for (NodeIdx i = head_; i != kNil; i = nodes_[i].next)
+        scanStep(nodes_[i].entry.req);
+    topValid_ = true;
+}
+
+void
+RequestQueue::scanStep(const Request &r) const
+{
+    // Tracks the two most urgent *distinct* experts (the per-expert
+    // maximum urgency decides; the earlier request wins a tie): the
+    // best pops next, the runner-up is the prefetch target.
+    Urgency &best = top_[0];
+    Urgency &second = top_[1];
+    const int prio = priorityOf(r.cls);
+    if (r.expert == best.expert) {
+        if (moreUrgent(prio, r.deadline, best.prio, best.deadline)) {
+            best.prio = prio;
+            best.deadline = r.deadline;
         }
+    } else if (r.expert == second.expert) {
+        if (moreUrgent(prio, r.deadline, second.prio, second.deadline)) {
+            second.prio = prio;
+            second.deadline = r.deadline;
+            // The runner-up's accumulated urgency may overtake.
+            if (moreUrgent(second.prio, second.deadline, best.prio,
+                           best.deadline))
+                std::swap(best, second);
+        }
+    } else if (best.expert == kNoExpert ||
+               moreUrgent(prio, r.deadline, best.prio, best.deadline)) {
+        second = best;
+        best = Urgency{r.expert, prio, r.deadline};
+    } else if (second.expert == kNoExpert ||
+               moreUrgent(prio, r.deadline, second.prio,
+                          second.deadline)) {
+        second = Urgency{r.expert, prio, r.deadline};
     }
-    return second;
 }
 
 void
@@ -244,10 +237,14 @@ RequestQueue::popBatchFor(ExpertId e, int maxCount,
                   "popBatchFor on absent expert ", e);
 
     out.clear();
-    NodeIdx start = head_;
-    while (nodes_[start].entry.req.expert != e)
-        start = nodes_[start].next;
-    if (sloUrgent_ > 0 && plainInserts_) {
+    // Grouped-only queue: the group is one contiguous run.
+    NodeIdx start = groups_[e].first;
+    if (plainInserts_) {
+        start = head_;
+        while (nodes_[start].entry.req.expert != e)
+            start = nodes_[start].next;
+    }
+    if (plainInserts_ && sloUrgent_ > 0) {
         // A FIFO-interleaved queue may hold several disjoint runs of
         // @p e; the first run may contain only old deadline-less work
         // while the urgency that selected @p e sits in a later run.
@@ -400,17 +397,45 @@ sloUrgent(const Request &r)
 void
 RequestQueue::noteInserted(NodeIdx node)
 {
-    GroupInfo &info = groupFor(nodes_[node].entry.req.expert);
+    const Request &req = nodes_[node].entry.req;
+    GroupInfo &info = groupFor(req.expert);
     // The inserted entry is always the last occurrence of its expert:
     // appendTail places it at the tail; pushGrouped inserts right
     // after the previous last occurrence.
+    if (info.count == 0)
+        info.first = node;
     info.last = node;
     info.count += 1;
     if (presence_ != nullptr)
-        presence_->addQueued(nodes_[node].entry.req.expert);
+        presence_->addQueued(req.expert);
     pendingWork_ += nodes_[node].entry.estimate;
-    if (sloUrgent(nodes_[node].entry.req))
+    if (sloUrgent(req))
         sloUrgent_ += 1;
+    if (topValid_)
+        updateTop(node);
+}
+
+void
+RequestQueue::updateTop(NodeIdx node)
+{
+    const Request &r = nodes_[node].entry.req;
+    // A request appended at the tail is exactly the scan's next step.
+    // One inserted earlier (behind its group) is too, unless its
+    // urgency equals the best's or the runner-up's while it could
+    // change the pair: then only queue position breaks the tie, and
+    // the next query rescans.
+    if (node != tail_ && r.expert != top_[0].expert) {
+        const int prio = priorityOf(r.cls);
+        const auto ties = [&](const Urgency &u) {
+            return u.expert != kNoExpert && u.prio == prio &&
+                   u.deadline == r.deadline;
+        };
+        if (ties(top_[0]) || (r.expert != top_[1].expert && ties(top_[1]))) {
+            topValid_ = false;
+            return;
+        }
+    }
+    scanStep(r);
 }
 
 void
@@ -425,8 +450,15 @@ RequestQueue::noteRemoved(NodeIdx node)
     if (info.count == 0) {
         COSERVE_CHECK(info.last == node,
                       "group emptied but last node differs");
+        info.first = kNil;
         info.last = kNil;
+    } else if (info.first == node) {
+        // Contiguous (grouped-only) group: the next node is its new
+        // first member. Removals run head-to-tail within a group, or
+        // tail-to-head with later members already unlinked.
+        info.first = nodes_[node].next;
     }
+    topValid_ = false;
     if (presence_ != nullptr)
         presence_->removeQueued(e);
     pendingWork_ -= nodes_[node].entry.estimate;

@@ -97,13 +97,18 @@ class RequestQueue
 
     /**
      * Expert of the next batch to execute. Plain queues (sloOrdered()
-     * false) answer the head expert in O(1); SLO-ordered queues scan
-     * for the group holding the most urgent request — highest class
+     * false) answer the head expert in O(1); SLO-ordered queues answer
+     * the group holding the most urgent request — highest class
      * priority first, earliest deadline within a priority (EDF), queue
      * position as the tie-break. The pooled intrusive layout and the
      * per-expert group index are untouched: urgency changes which
      * group *pops* next, never where requests sit. kNoExpert when
      * empty.
+     *
+     * SLO-ordered queues read a cached pair, the most urgent expert
+     * and the runner-up: an insertion updates it in O(1), and only
+     * the first query after a removal (or after an insertion that ties
+     * the pair's urgency away from the tail) rescans the queue.
      */
     ExpertId nextBatchExpert() const { return bestExpert(); }
 
@@ -111,8 +116,8 @@ class RequestQueue
      * Prefetch target under the same order: the expert of the batch
      * that will run *after* the next one (the executor prefetches one
      * group ahead while a batch executes). Equals nextDistinctExpert()
-     * for plain queues; SLO-ordered queues compute the two most
-     * urgent distinct experts in one scan and answer the runner-up.
+     * for plain queues; SLO-ordered queues answer the runner-up of the
+     * cached pair nextBatchExpert() reads.
      */
     ExpertId prefetchExpert() const;
 
@@ -205,9 +210,23 @@ class RequestQueue
     /** Per-expert bookkeeping, indexed by (dense, small) ExpertId. */
     struct GroupInfo
     {
+        /**
+         * Pool index of the first queued request of this expert. Kept
+         * exact only while !plainInserts_, where the group is one
+         * contiguous run, so popBatchFor starts there directly.
+         */
+        NodeIdx first = kNil;
         /** Pool index of the last queued request of this expert. */
         NodeIdx last = kNil;
         int count = 0;
+    };
+
+    /** An expert and the most urgent (priority, deadline) seen of it. */
+    struct Urgency
+    {
+        ExpertId expert = kNoExpert;
+        int prio = 0;
+        Time deadline = kTimeNever;
     };
 
     NodeIdx allocNode(const Request &req, Time estimate);
@@ -220,6 +239,12 @@ class RequestQueue
     GroupInfo &groupFor(ExpertId e);
     /** Most urgent group's expert (head group when nothing urgent). */
     ExpertId bestExpert() const;
+    /** Rebuild top_ by scanning the whole queue. */
+    void rescanTop() const;
+    /** Advance the scan's top two by one request, taken as the last. */
+    void scanStep(const Request &r) const;
+    /** Fold newly inserted @p node into a valid top_, or invalidate. */
+    void updateTop(NodeIdx node);
 
     std::vector<Node> nodes_;
     std::vector<NodeIdx> freeNodes_;
@@ -243,6 +268,14 @@ class RequestQueue
      * linear scan.
      */
     bool plainInserts_ = false;
+    /**
+     * Cached SLO pop order: top_[0] is the most urgent expert, top_[1]
+     * the runner-up, exactly as a front-to-back scanStep() over the
+     * queue leaves them. Valid only while topValid_; every removal
+     * clears the flag, and a classless queue never sets it.
+     */
+    mutable Urgency top_[2];
+    mutable bool topValid_ = false;
 };
 
 } // namespace coserve

@@ -9,14 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "baselines/evictions.h"
 #include "baselines/schedulers.h"
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
+#include "coe/dependency.h"
+#include "coe/usage.h"
+#include "core/two_stage_eviction.h"
 #include "metrics/cluster_result.h"
 #include "runtime/engine.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace coserve {
@@ -97,6 +103,150 @@ TEST(TierHierarchyTest, PinnedEntriesNeverEvicted)
 
     // Direct eviction of a pinned entry is a hard error.
     EXPECT_DEATH(cache.evict(1, 50), "pinned");
+}
+
+// ------------------------------------------- counted preliminaries
+
+/** The per-preliminary scan two-stage eviction ran before the counts. */
+bool
+scanLacksPreliminary(const DependencyGraph &deps, const MemoryTier &pool,
+                     ExpertId e)
+{
+    if (!deps.isSubsequent(e))
+        return false;
+    for (ExpertId pre : deps.preliminariesOf(e)) {
+        if (pool.contains(pre))
+            return false;
+    }
+    return true;
+}
+
+/** Two-stage victim choice on the scan, with the policy's tie-breaks. */
+std::optional<ExpertId>
+scanTwoStageVictim(const MemoryTier &pool, const DependencyGraph &deps,
+                   const UsageProfile &usage)
+{
+    std::optional<ExpertId> stage1, stage2;
+    std::int64_t stage1Bytes = -1;
+    double stage2Prob = 0.0;
+    for (const auto &[id, entry] : pool.entries()) {
+        if (entry.loading || entry.pins > 0)
+            continue;
+        if (scanLacksPreliminary(deps, pool, id)) {
+            if (entry.bytes > stage1Bytes ||
+                (entry.bytes == stage1Bytes && id < *stage1)) {
+                stage1 = id;
+                stage1Bytes = entry.bytes;
+            }
+            continue;
+        }
+        const double p = usage.probability(id);
+        if (!stage2 || p < stage2Prob ||
+            (p == stage2Prob && id < *stage2)) {
+            stage2 = id;
+            stage2Prob = p;
+        }
+    }
+    return stage1 ? stage1 : stage2;
+}
+
+TEST(TierDependencyTest, CountedPreliminariesMatchScanOnBoardA)
+{
+    const CoEModel model = buildBoard(boardA());
+    const DependencyGraph deps(model);
+    const UsageProfile usage = UsageProfile::exact(model);
+    const auto numExperts = static_cast<ExpertId>(model.numExperts());
+    // Room for ~20 experts of 50-200 MB, so the board's experts churn.
+    MemoryTier pool("gpu", 2500 * kMB, TierLevel::Gpu);
+    Rng rng(23);
+    const auto randomExpert = [&] {
+        return static_cast<ExpertId>(
+            rng.uniformInt(static_cast<std::uint64_t>(numExperts)));
+    };
+    const auto randomBytes = [&] {
+        return static_cast<std::int64_t>(50 + rng.uniformInt(151)) * kMB;
+    };
+    // Members present before the graph is attached are counted too.
+    for (int i = 0; i < 8; ++i) {
+        const ExpertId e = randomExpert();
+        if (!pool.contains(e))
+            pool.insertResident(e, randomBytes(), 0, 0);
+    }
+    pool.trackDependencies(&deps);
+    ASSERT_EQ(pool.dependencies(), &deps);
+
+    EvictionContext ctx;
+    ctx.model = &model;
+    ctx.deps = &deps;
+    ctx.usage = &usage;
+    TwoStageEviction twoStage;
+    std::uint64_t seq = 0;
+    // A random loading member, or an unpinned settled one.
+    const auto pick = [&](bool loading) {
+        std::vector<ExpertId> ids;
+        for (const auto &[id, entry] : pool.entries()) {
+            if (entry.loading == loading && (loading || entry.pins == 0))
+                ids.push_back(id);
+        }
+        std::sort(ids.begin(), ids.end());
+        return ids.empty() ? kNoExpert : ids[rng.uniformInt(ids.size())];
+    };
+    int checkedVictims = 0, multiplyTiered = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const Time now = step;
+        ctx.now = now;
+        const double op = rng.uniform();
+        const ExpertId e = randomExpert();
+        const std::int64_t bytes = randomBytes();
+        if (op < 0.3) {
+            // Demand load: the policy frees room, as the engine does.
+            if (pool.contains(e))
+                continue;
+            while (pool.freeBytes() < bytes) {
+                const std::optional<ExpertId> victim =
+                    twoStage.selectVictim(pool, ctx);
+                ASSERT_EQ(victim, scanTwoStageVictim(pool, deps, usage))
+                    << "step " << step;
+                if (!victim)
+                    break;
+                pool.evict(*victim, now);
+                ++checkedVictims;
+            }
+            if (pool.freeBytes() >= bytes)
+                pool.beginLoad(e, bytes, ++seq);
+        } else if (op < 0.5) {
+            const ExpertId landed = pick(true);
+            if (landed != kNoExpert)
+                pool.finishLoad(landed, now);
+        } else if (op < 0.6) {
+            if (!pool.contains(e) && pool.freeBytes() >= bytes)
+                pool.insertResident(e, bytes, ++seq, now);
+        } else if (op < 0.75) {
+            // Cache-style insert: the built-in LRU makes room through
+            // erase; re-inserting a member resizes it in place.
+            pool.insert(e, bytes, now);
+        } else {
+            const ExpertId victim = pick(false);
+            if (victim == kNoExpert)
+                continue;
+            if (rng.bernoulli(0.5))
+                pool.evict(victim, now);
+            else
+                pool.erase(victim);
+        }
+        for (ExpertId x = 0; x < numExperts; ++x) {
+            int tiered = 0;
+            for (ExpertId pre : deps.preliminariesOf(x))
+                tiered += pool.contains(pre) ? 1 : 0;
+            ASSERT_EQ(pool.tieredPreliminaries(x), tiered)
+                << "expert " << x << " step " << step;
+            multiplyTiered += tiered > 1 ? 1 : 0;
+            ASSERT_EQ(deps.isSubsequent(x) && tiered == 0,
+                      scanLacksPreliminary(deps, pool, x));
+        }
+    }
+    EXPECT_GT(checkedVictims, 100);
+    EXPECT_GT(multiplyTiered, 0); // counts above one were exercised
 }
 
 // -------------------------------------------------- engine-level counters

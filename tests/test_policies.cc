@@ -33,6 +33,7 @@ class EvictionFixture : public ::testing::Test
         ctx_.usage = &usage_;
         ctx_.now = 100;
         ctx_.allowSoftPinned = true;
+        pool_.trackDependencies(&deps_);
     }
 
     static CoEModel

@@ -19,6 +19,7 @@
 #include "runtime/queue.h"
 #include "slo/admission.h"
 #include "slo/quantile_sketch.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace coserve {
@@ -266,6 +267,269 @@ TEST(SloQueueTest, StealFilterSeesDeadlines)
     EXPECT_EQ(loot[0].id, 1);
     EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.countForExpert(2), 0);
+}
+
+// ------------------------------ cached pop order vs. a scan oracle
+
+/** Strict "more urgent than": higher priority, then earlier EDF. */
+bool
+refMoreUrgent(const Request &a, int prio, Time deadline)
+{
+    const int p = priorityOf(a.cls);
+    return p > prio || (p == prio && a.deadline < deadline);
+}
+
+/**
+ * A plain vector of queued requests with the pop order the queue had
+ * before it cached the pair: every query scans from the front.
+ */
+struct RefQueue
+{
+    std::vector<Request> items;
+    bool plainInserts = false;
+
+    bool
+    urgent() const
+    {
+        return std::any_of(items.begin(), items.end(), [](const Request &r) {
+            return r.deadline != kTimeNever || priorityOf(r.cls) != 0;
+        });
+    }
+
+    void
+    pushBack(const Request &r)
+    {
+        plainInserts = true;
+        items.push_back(r);
+    }
+
+    void
+    pushGrouped(const Request &r)
+    {
+        for (std::size_t i = items.size(); i-- > 0;) {
+            if (items[i].expert == r.expert) {
+                items.insert(items.begin() + static_cast<long>(i) + 1, r);
+                return;
+            }
+        }
+        items.push_back(r);
+    }
+
+    /** The first request of maximal urgency names the expert. */
+    ExpertId
+    best() const
+    {
+        if (items.empty())
+            return kNoExpert;
+        if (!urgent())
+            return items.front().expert;
+        const Request *top = &items.front();
+        for (const Request &r : items) {
+            if (refMoreUrgent(r, priorityOf(top->cls), top->deadline))
+                top = &r;
+        }
+        return top->expert;
+    }
+
+    /** The two-slot scan over distinct experts; answers the runner-up. */
+    ExpertId
+    prefetch() const
+    {
+        if (!urgent()) {
+            for (const Request &r : items) {
+                if (r.expert != items.front().expert)
+                    return r.expert;
+            }
+            return kNoExpert;
+        }
+        ExpertId best = kNoExpert, second = kNoExpert;
+        int bestPrio = 0, secondPrio = 0;
+        Time bestDl = kTimeNever, secondDl = kTimeNever;
+        for (const Request &r : items) {
+            if (r.expert == best) {
+                if (refMoreUrgent(r, bestPrio, bestDl)) {
+                    bestPrio = priorityOf(r.cls);
+                    bestDl = r.deadline;
+                }
+            } else if (r.expert == second) {
+                if (refMoreUrgent(r, secondPrio, secondDl)) {
+                    secondPrio = priorityOf(r.cls);
+                    secondDl = r.deadline;
+                    const int p = secondPrio;
+                    if (p > bestPrio ||
+                        (p == bestPrio && secondDl < bestDl)) {
+                        std::swap(best, second);
+                        std::swap(bestPrio, secondPrio);
+                        std::swap(bestDl, secondDl);
+                    }
+                }
+            } else if (best == kNoExpert ||
+                       refMoreUrgent(r, bestPrio, bestDl)) {
+                second = best;
+                secondPrio = bestPrio;
+                secondDl = bestDl;
+                best = r.expert;
+                bestPrio = priorityOf(r.cls);
+                bestDl = r.deadline;
+            } else if (second == kNoExpert ||
+                       refMoreUrgent(r, secondPrio, secondDl)) {
+                second = r.expert;
+                secondPrio = priorityOf(r.cls);
+                secondDl = r.deadline;
+            }
+        }
+        return second;
+    }
+
+    /** The run of @p e popBatchFor takes: the urgent one when FIFO. */
+    std::vector<RequestId>
+    popBatchFor(ExpertId e, int maxCount)
+    {
+        std::size_t start = 0;
+        while (items[start].expert != e)
+            ++start;
+        if (urgent() && plainInserts) {
+            std::size_t top = start;
+            for (std::size_t i = start + 1; i < items.size(); ++i) {
+                if (items[i].expert == e &&
+                    refMoreUrgent(items[i], priorityOf(items[top].cls),
+                                  items[top].deadline))
+                    top = i;
+            }
+            start = top;
+            while (start > 0 && items[start - 1].expert == e)
+                --start;
+        }
+        std::vector<RequestId> ids;
+        std::size_t end = start;
+        while (end < items.size() && items[end].expert == e &&
+               ids.size() < static_cast<std::size_t>(maxCount))
+            ids.push_back(items[end++].id);
+        items.erase(items.begin() + static_cast<long>(start),
+                    items.begin() + static_cast<long>(end));
+        return ids;
+    }
+
+    /** Newest first, never the head, skipping what @p allow rejects. */
+    std::vector<RequestId>
+    steal(int maxCount, const RequestQueue::StealFilter &allow)
+    {
+        std::vector<RequestId> ids;
+        for (std::size_t i = items.size(); i-- > 1 &&
+                                           ids.size() <
+                                               static_cast<std::size_t>(
+                                                   maxCount);) {
+            if (allow && !allow(items[i]))
+                continue;
+            ids.push_back(items[i].id);
+            items.erase(items.begin() + static_cast<long>(i));
+        }
+        return ids;
+    }
+};
+
+std::vector<RequestId>
+idsOf(const std::vector<Request> &reqs)
+{
+    std::vector<RequestId> ids;
+    for (const Request &r : reqs)
+        ids.push_back(r.id);
+    return ids;
+}
+
+/**
+ * Seeded random pushes, pops, steals and drains over all four classes,
+ * with deadlines from a set of three so that (priority, deadline)
+ * ties across experts are common. After every step the queue must
+ * agree with the scan oracle on both picks, and on the requests each
+ * removal takes.
+ */
+void
+runPopOrderOracle(std::uint64_t seed, bool fifo)
+{
+    RequestQueue q;
+    RefQueue ref;
+    Rng rng(seed);
+    const RequestClass classes[] = {
+        RequestClass::Interactive, RequestClass::Batch,
+        RequestClass::BestEffort, RequestClass::None};
+    RequestId nextId = 0;
+    std::vector<Request> out;
+    for (int step = 0; step < 4000; ++step) {
+        const double op = rng.uniform();
+        if (op < 0.55) {
+            const RequestClass cls = classes[rng.uniformInt(4)];
+            const std::uint64_t dl = rng.uniformInt(4);
+            const Time deadline =
+                cls == RequestClass::None || dl == 3
+                    ? kTimeNever
+                    : seconds(static_cast<double>(dl + 1));
+            const Request r = slotRequest(
+                nextId++, static_cast<ExpertId>(rng.uniformInt(6)), cls,
+                deadline);
+            if (fifo && rng.bernoulli(0.5)) {
+                q.pushBack(r, 1);
+                ref.pushBack(r);
+            } else {
+                q.pushGrouped(r, 1);
+                ref.pushGrouped(r);
+            }
+        } else if (op < 0.85) {
+            if (q.empty())
+                continue;
+            const int maxCount = 1 + static_cast<int>(rng.uniformInt(4));
+            const ExpertId e = q.nextBatchExpert();
+            ASSERT_EQ(e, ref.best()) << "seed " << seed << " step " << step;
+            q.popBatchFor(e, maxCount, out);
+            ASSERT_EQ(idsOf(out), ref.popBatchFor(e, maxCount))
+                << "seed " << seed << " step " << step;
+        } else if (op < 0.99) {
+            RequestQueue::StealFilter allow;
+            if (rng.bernoulli(0.5)) {
+                allow = [](const Request &r) {
+                    return r.deadline != kTimeNever || r.id % 3 == 0;
+                };
+            }
+            const int maxCount = 1 + static_cast<int>(rng.uniformInt(5));
+            out.clear();
+            q.stealFromTail(maxCount, out, allow);
+            ASSERT_EQ(idsOf(out), ref.steal(maxCount, allow))
+                << "seed " << seed << " step " << step;
+        } else {
+            out.clear();
+            q.drainAll(out);
+            ASSERT_EQ(idsOf(out), idsOf(ref.items));
+            ref.items.clear();
+        }
+        // Query on most steps, so insertions usually meet a valid
+        // cached pair; skipped queries leave it to be rebuilt.
+        if (rng.bernoulli(0.8)) {
+            const bool prefetchFirst = rng.bernoulli(0.5);
+            if (prefetchFirst) {
+                ASSERT_EQ(q.prefetchExpert(), ref.prefetch())
+                    << "seed " << seed << " step " << step;
+            }
+            ASSERT_EQ(q.nextBatchExpert(), ref.best())
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(q.prefetchExpert(), ref.prefetch())
+                << "seed " << seed << " step " << step;
+        }
+        ASSERT_EQ(q.size(), ref.items.size());
+        ASSERT_EQ(q.sloOrdered(), ref.urgent());
+    }
+    EXPECT_EQ(idsOf(q.snapshot()), idsOf(ref.items));
+}
+
+TEST(SloQueueTest, CachedPopOrderMatchesScanOracleGrouped)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4, 5, 6})
+        runPopOrderOracle(seed, /*fifo=*/false);
+}
+
+TEST(SloQueueTest, CachedPopOrderMatchesScanOracleFifo)
+{
+    for (std::uint64_t seed : {11, 12, 13, 14, 15, 16})
+        runPopOrderOracle(seed, /*fifo=*/true);
 }
 
 // ------------------------------------------- AdmissionController
