@@ -3,11 +3,14 @@
  * Tests for the cluster serving layer: pinned static routing,
  * routing-policy behavior, single-replica equivalence with
  * ServingEngine, run-to-run agreement of the threaded static path
- * (also under epoch sampling), and ClusterResult aggregation math.
+ * (also under epoch sampling), ClusterResult aggregation math, the
+ * pinned decision streams of one run per coordinator path (the golden
+ * matrix) and the tie order at a fault instant.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -18,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
 #include "metrics/cluster_result.h"
+#include "replay/decision_log.h"
 #include "workload/generator.h"
 
 namespace coserve {
@@ -318,6 +322,272 @@ TEST_F(ClusterFixture, ReplicasWithoutArrivalsProduceEmptyResults)
     for (std::int64_t n : r.imagesPerReplica)
         nonEmpty += n > 0 ? 1 : 0;
     EXPECT_EQ(nonEmpty, 1);
+}
+
+// ------------------------------------------------------ golden matrix
+
+/** 64-bit FNV-1a of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 14'695'981'039'346'656'037ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1'099'511'628'211ull;
+    }
+    return h;
+}
+
+/**
+ * Adds a slow-GPU context (batches long enough for deadline rescues,
+ * a DRAM tier so checkpoints ride the fast link) and two SLO traces to
+ * the tiny cluster fixture.
+ */
+class GoldenFixture : public ClusterFixture
+{
+  protected:
+    GoldenFixture()
+        : slowDevice_(slowTestDevice()), slowCtx_(slowDevice_, model_)
+    {
+        const auto [minCount, maxCount] =
+            gpuExpertCountBounds(slowCtx_, 1, 0);
+        (void)minCount;
+        slowCfg_ = coserveConfig(
+            slowCtx_, coserveExecutorLayout(slowCtx_, 1, 0, maxCount),
+            "replica");
+        slowCfg_.cpuCacheTier = true;
+        slowCfg_.cpuCacheBytes = 1536ll * 1024 * 1024;
+
+        TenantSpec interactive;
+        interactive.cls = RequestClass::Interactive;
+        interactive.ratePerSec = 4.0;
+        interactive.latencyBudget = milliseconds(600);
+        TenantSpec batch;
+        batch.cls = RequestClass::Batch;
+        batch.ratePerSec = 10.0;
+        batch.latencyBudget = seconds(30);
+        batch.arrivals = ArrivalProcess::MMPP;
+        batch.mmppBurstFactor = 10.0;
+        slowSlo_ = generateSloTrace(model_, {interactive, batch},
+                                    seconds(20), 0x7e3);
+
+        interactive.ratePerSec = 40.0;
+        interactive.latencyBudget = milliseconds(500);
+        batch.ratePerSec = 30.0;
+        batch.latencyBudget = seconds(3);
+        batch.arrivals = ArrivalProcess::Poisson;
+        TenantSpec bestEffort;
+        bestEffort.cls = RequestClass::BestEffort;
+        bestEffort.ratePerSec = 10.0;
+        bestEffort.arrivals = ArrivalProcess::MMPP;
+        bestEffort.mmppBurstFactor = 6.0;
+        fastSlo_ = generateSloTrace(
+            model_, {interactive, batch, bestEffort}, seconds(6), 0x510);
+    }
+
+    static DeviceSpec
+    slowTestDevice()
+    {
+        DeviceSpec d = tinyTestDevice();
+        d.name = "tiny-slow-compute";
+        d.gpu.computeScale = 0.1;
+        return d;
+    }
+
+    /** The slow cluster with deadline rescues (and migration). */
+    ClusterConfig
+    preemptConfig(bool migration) const
+    {
+        ClusterConfig cc = homogeneousCluster(
+            slowCtx_, slowCfg_, 3, RoutingPolicy::LeastLoaded, "golden");
+        cc.preemption.enabled = true;
+        cc.preemption.minRunQuantum = milliseconds(5);
+        cc.preemption.migration = migration;
+        cc.preemption.migrationMinRemaining = milliseconds(10);
+        if (migration) {
+            cc.onlineRouting = true;
+            cc.workStealing.enabled = true;
+            cc.workStealing.backlogThreshold = 2;
+            cc.workStealing.minBacklog = milliseconds(20);
+        }
+        return cc;
+    }
+
+    DeviceSpec slowDevice_;
+    CoServeContext slowCtx_;
+    EngineConfig slowCfg_;
+    Trace slowSlo_;
+    Trace fastSlo_;
+};
+
+/** One coordinator path: a run and the schedule it must produce. */
+struct GoldenRow
+{
+    const char *name;
+    ClusterConfig cc;
+    const Trace *trace;
+    RunOptions opts;
+    std::uint64_t digest;
+    std::int64_t decisions;
+    std::int64_t images;
+    std::int64_t crashLost;
+    std::int64_t stolen;
+    /** FNV-1a of the span-trace JSON (rows writing one), else 0. */
+    std::uint64_t traceHash;
+};
+
+TEST_F(GoldenFixture, DecisionStreamsArePinnedPerCoordinatorPath)
+{
+    // Run-to-run agreement cannot catch a refactor that reorders the
+    // coordinator's decisions the same way every time; these pins
+    // can. Each row drives one path through the coordinator.
+    const RunOptions statik = runWithMode(RunMode::Static);
+    const RunOptions online = runWithMode(RunMode::Online);
+    const Time mid = trace_.arrivals[trace_.size() / 2].time;
+
+    std::vector<GoldenRow> rows;
+    rows.push_back({"static least-loaded (threaded)",
+                    homogeneousCluster(ctx_, cfg_, 4,
+                                       RoutingPolicy::LeastLoaded),
+                    &trace_, statik, 0xa6e5245f6dd62da9ull, 400, 400, 0,
+                    0, 0});
+    rows.push_back({"static + preemption", preemptConfig(false),
+                    &slowSlo_, statik, 0x84ef1316dfb5ad4dull, 549, 513,
+                    0, 0, 0});
+    RunOptions sampled = statik;
+    sampled.telemetry.enabled = true;
+    sampled.telemetry.sampleInterval = milliseconds(7);
+    // Sampler ticks cut the threaded run; the pins are the row above.
+    rows.push_back({"static + preemption, sampled", preemptConfig(false),
+                    &slowSlo_, sampled, 0x84ef1316dfb5ad4dull, 549, 513,
+                    0, 0, 0});
+    RunOptions faulty = statik;
+    faulty.faults.crashes.push_back({1, mid});
+    faulty.faults.stragglers.push_back(
+        {2, milliseconds(200), milliseconds(900), 3.0});
+    rows.push_back({"static + crash + straggler (lockstep)",
+                    homogeneousCluster(ctx_, cfg_, 3,
+                                       RoutingPolicy::LeastLoaded),
+                    &trace_, faulty, 0xaddd63da6c4f4f9eull, 405, 400, 0,
+                    0, 0});
+    EngineConfig tiered = cfg_;
+    tiered.cpuCacheTier = true;
+    tiered.cpuCacheBytes = 300ll * 1024 * 1024;
+    ClusterConfig shared = homogeneousCluster(
+        ctx_, tiered, 4, RoutingPolicy::RoundRobin);
+    shared.sharedCpu.enabled = true;
+    rows.push_back({"static + shared CPU tier", shared, &trace_, statik,
+                    0x7942ee9cfbc03640ull, 400, 400, 0, 0, 0});
+    ClusterConfig steal = homogeneousCluster(
+        ctx_, cfg_, 4, RoutingPolicy::LeastLoaded);
+    steal.workStealing.enabled = true;
+    steal.workStealing.backlogThreshold = 2;
+    steal.workStealing.minBacklog = milliseconds(20);
+    steal.admission.enabled = true;
+    rows.push_back({"online + steal + admission", steal, &fastSlo_,
+                    online, 0xe85d9ef9c46d841bull, 656, 456, 0, 21, 0});
+    ClusterConfig scale = homogeneousCluster(
+        ctx_, cfg_, 4, RoutingPolicy::LeastLoaded);
+    scale.autoscale.enabled = true;
+    scale.autoscale.interval = milliseconds(250);
+    scale.autoscale.cooldown = milliseconds(250);
+    scale.autoscale.minReplicas = 1;
+    scale.autoscale.startReplicas = 4;
+    scale.autoscale.violationLow = 2.0;
+    scale.autoscale.backlogLow = 1000;
+    scale.autoscale.backlogHigh = 100000;
+    scale.autoscale.violationHigh = 2.0;
+    rows.push_back({"online + autoscale", scale, &fastSlo_, online,
+                    0x95858ab2a8d19f69ull, 467, 456, 0, 0, 0});
+    RunOptions full = online;
+    full.faults.crashes.push_back(
+        {1, slowSlo_.arrivals[slowSlo_.size() / 2].time});
+    full.faults.brownouts.push_back({2, seconds(3), seconds(9), 0.25});
+    full.telemetry.enabled = true;
+    full.telemetry.sampleInterval = milliseconds(500);
+    full.telemetry.tracePath =
+        ::testing::TempDir() + "cluster_golden_trace.json";
+    rows.push_back({"online + preempt + migrate + crash + brownout",
+                    preemptConfig(true), &slowSlo_, full,
+                    0x04e2d18e885eaf69ull, 566, 513, 0, 11,
+                    0x049d3f944c32f9fcull});
+
+    for (const GoldenRow &row : rows) {
+        SCOPED_TRACE(row.name);
+        ClusterEngine cluster(row.cc);
+        const ClusterResult r = cluster.run(*row.trace, row.opts);
+        std::uint64_t traceHash = 0;
+        if (!row.opts.telemetry.tracePath.empty()) {
+            traceHash = fnv1a(readFileText(row.opts.telemetry.tracePath));
+            std::remove(row.opts.telemetry.tracePath.c_str());
+        }
+        EXPECT_EQ(r.decisionDigest, row.digest);
+        EXPECT_EQ(r.decisionCount, row.decisions);
+        EXPECT_EQ(r.images, row.images);
+        EXPECT_EQ(r.crashLost, row.crashLost);
+        EXPECT_EQ(r.stolenRequests, row.stolen);
+        EXPECT_EQ(traceHash, row.traceHash);
+    }
+}
+
+TEST_F(ClusterFixture, FaultInstantTieOrder)
+{
+    // What happens at one instant t, in order: the replica events at
+    // t run, then the crash scheduled for t, then the autoscaler's
+    // control tick, then the arrival at t. Replica 0 alone is active
+    // and finishes its only image at exactly t, the instant it
+    // crashes; control ticks fire every t and always scale up.
+    const auto config = [this](Time interval) {
+        ClusterConfig cc = homogeneousCluster(
+            ctx_, cfg_, 3, RoutingPolicy::LeastLoaded);
+        cc.onlineRouting = true;
+        cc.autoscale.enabled = true;
+        cc.autoscale.interval = interval;
+        cc.autoscale.minReplicas = 1;
+        cc.autoscale.startReplicas = 1;
+        cc.autoscale.violationHigh = -1.0;
+        return cc;
+    };
+    Trace trace;
+    trace.arrivals.push_back({0, /*component=*/0, false});
+    ClusterEngine probe(config(seconds(1000)));
+    const Time t = probe.run(trace, {}).makespan;
+    ASSERT_GT(t, 0);
+
+    trace.arrivals.push_back({t, /*component=*/0, false});
+    RunOptions opts;
+    opts.faults.crashes.push_back({0, t});
+    opts.recordPath = ::testing::TempDir() + "cluster_tie_order.log";
+    ClusterEngine cluster(config(t));
+    const ClusterResult r = cluster.run(trace, opts);
+
+    // The completion at t ran before the crash: nothing was in flight
+    // to re-home, and replica 0 keeps its image.
+    EXPECT_EQ(r.images, 2);
+    EXPECT_EQ(r.replicas[0].images, 1);
+    EXPECT_EQ(r.crashRehomed, 0);
+    EXPECT_EQ(r.crashLost, 0);
+
+    // The crash wakes replica 1 to keep component 0 covered, the
+    // control tick then wakes replica 2, and only then is the arrival
+    // routed, to a live replica.
+    const DecisionLog log = DecisionLog::load(opts.recordPath);
+    std::vector<DecisionRecord> atT;
+    for (const DecisionRecord &d : log.records()) {
+        if (d.time == t)
+            atT.push_back(d);
+    }
+    std::remove(opts.recordPath.c_str());
+    ASSERT_EQ(atT.size(), 4u);
+    EXPECT_EQ(atT[0].kind, DecisionKind::ScaleUp);
+    EXPECT_EQ(atT[0].a, 1u);
+    EXPECT_EQ(atT[1], (DecisionRecord{t, DecisionKind::Crash, 0, 0, 0}));
+    EXPECT_EQ(atT[2].kind, DecisionKind::ScaleUp);
+    EXPECT_EQ(atT[2].a, 2u);
+    EXPECT_EQ(atT[3].kind, DecisionKind::Route);
+    EXPECT_EQ(atT[3].a, 1u);
+    EXPECT_NE(atT[3].b, 0u);
+    EXPECT_LT(atT[3].b, 3u);
 }
 
 } // namespace
