@@ -457,6 +457,8 @@ TEST_F(GoldenFixture, DecisionStreamsArePinnedPerCoordinatorPath)
     RunOptions sampled = statik;
     sampled.telemetry.enabled = true;
     sampled.telemetry.sampleInterval = milliseconds(7);
+    sampled.telemetry.metricsCsvPath =
+        ::testing::TempDir() + "cluster_golden_sampled.csv";
     // Sampler ticks cut the threaded run; the pins are the row above.
     rows.push_back({"static + preemption, sampled", preemptConfig(false),
                     &slowSlo_, sampled, 0x84ef1316dfb5ad4dull, 549, 513,
@@ -507,6 +509,8 @@ TEST_F(GoldenFixture, DecisionStreamsArePinnedPerCoordinatorPath)
     full.telemetry.sampleInterval = milliseconds(500);
     full.telemetry.tracePath =
         ::testing::TempDir() + "cluster_golden_trace.json";
+    full.telemetry.metricsCsvPath =
+        ::testing::TempDir() + "cluster_golden_full.csv";
     rows.push_back({"online + preempt + migrate + crash + brownout",
                     preemptConfig(true), &slowSlo_, full,
                     0x04e2d18e885eaf69ull, 566, 513, 0, 11,
@@ -520,6 +524,11 @@ TEST_F(GoldenFixture, DecisionStreamsArePinnedPerCoordinatorPath)
         if (!row.opts.telemetry.tracePath.empty()) {
             traceHash = fnv1a(readFileText(row.opts.telemetry.tracePath));
             std::remove(row.opts.telemetry.tracePath.c_str());
+        }
+        if (!row.opts.telemetry.metricsCsvPath.empty()) {
+            EXPECT_FALSE(
+                readFileText(row.opts.telemetry.metricsCsvPath).empty());
+            std::remove(row.opts.telemetry.metricsCsvPath.c_str());
         }
         EXPECT_EQ(r.decisionDigest, row.digest);
         EXPECT_EQ(r.decisionCount, row.decisions);
