@@ -347,7 +347,9 @@ class GoldenFixture : public ClusterFixture
 {
   protected:
     GoldenFixture()
-        : slowDevice_(slowTestDevice()), slowCtx_(slowDevice_, model_)
+        : slowDevice_(slowTestDevice()), slowCtx_(slowDevice_, model_),
+          detectorsOnlyCtx_(slowDevice_, model_,
+                            detectorsOnly(slowDevice_), {})
     {
         const auto [minCount, maxCount] =
             gpuExpertCountBounds(slowCtx_, 1, 0);
@@ -394,6 +396,19 @@ class GoldenFixture : public ClusterFixture
         return d;
     }
 
+    /** @p device's latency model without the classifier arch. */
+    static LatencyModel
+    detectorsOnly(const DeviceSpec &device)
+    {
+        const LatencyModel full = LatencyModel::calibrated(device);
+        LatencyModel partial;
+        for (ArchId arch : {ArchId::YoloV5m, ArchId::YoloV5l}) {
+            for (ProcKind proc : {ProcKind::GPU, ProcKind::CPU})
+                partial.setParams(arch, proc, full.params(arch, proc));
+        }
+        return partial;
+    }
+
     /** The slow cluster with deadline rescues (and migration). */
     ClusterConfig
     preemptConfig(bool migration) const
@@ -415,6 +430,8 @@ class GoldenFixture : public ClusterFixture
 
     DeviceSpec slowDevice_;
     CoServeContext slowCtx_;
+    /** Never profiled for ResNet101, so it serves no classifier. */
+    CoServeContext detectorsOnlyCtx_;
     EngineConfig slowCfg_;
     Trace slowSlo_;
     Trace fastSlo_;
@@ -515,6 +532,27 @@ TEST_F(GoldenFixture, DecisionStreamsArePinnedPerCoordinatorPath)
                     preemptConfig(true), &slowSlo_, full,
                     0x04e2d18e885eaf69ull, 566, 513, 0, 11,
                     0x049d3f944c32f9fcull});
+    // Two crashes leave only a replica that serves no classifier:
+    // queued and checkpointed classify work and later arrivals pinned
+    // to the dead replicas are lost (the "route (lost)" instants and
+    // the Migrate records to the out-of-range replica).
+    ClusterConfig lossy = heterogeneousCluster(
+        {{&slowCtx_, slowCfg_},
+         {&slowCtx_, slowCfg_},
+         {&detectorsOnlyCtx_, slowCfg_}},
+        RoutingPolicy::LeastLoaded, "golden-lossy");
+    lossy.preemption = preemptConfig(true).preemption;
+    RunOptions losing = statik;
+    losing.faults.crashes.push_back(
+        {0, slowSlo_.arrivals[slowSlo_.size() / 3].time});
+    losing.faults.crashes.push_back(
+        {1, slowSlo_.arrivals[2 * slowSlo_.size() / 3].time});
+    losing.telemetry.enabled = true;
+    losing.telemetry.tracePath =
+        ::testing::TempDir() + "cluster_golden_lossy_trace.json";
+    rows.push_back({"static + migration + crashes, lost work", lossy,
+                    &slowSlo_, losing, 0x8c6f3be9a678fc17ull, 546, 150, 363,
+                    0, 0x941ac0cb1ec0014cull});
 
     for (const GoldenRow &row : rows) {
         SCOPED_TRACE(row.name);
