@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -84,6 +84,19 @@ ppm(double factor)
     return static_cast<std::uint64_t>(std::llround(factor * 1e6));
 }
 
+/** The decision record of replica @p i's preemption event @p ev. */
+DecisionRecord
+preemptRecord(std::size_t i, const PreemptEvent &ev)
+{
+    DecisionKind kind = DecisionKind::Preempt;
+    if (ev.what == PreemptEvent::What::Checkpoint)
+        kind = DecisionKind::Checkpoint;
+    else if (ev.what == PreemptEvent::What::Restore)
+        kind = DecisionKind::Restore;
+    return {ev.time, kind, i, static_cast<std::uint64_t>(ev.executor),
+            ev.count};
+}
+
 /**
  * Flatten a plan into one virtual-time-ordered action list. Same-time
  * actions order by (kind, replica), so the schedule — and therefore
@@ -153,6 +166,1178 @@ checkWindows(const std::vector<W> &windows, std::size_t n,
         }
     }
 }
+
+/** One router-facing view per replica, in replica order. */
+std::vector<ReplicaView>
+replicaViews(const ClusterConfig &cfg)
+{
+    std::vector<ReplicaView> views;
+    views.reserve(cfg.replicas.size());
+    for (const ReplicaSpec &r : cfg.replicas)
+        views.push_back({r.ctx, &r.cfg});
+    return views;
+}
+
+/**
+ * One host DRAM behind all replicas when configured (else null):
+ * evictions from any replica's GPU pool demote into it, and any
+ * replica's loads may hit it. Lives only for the duration of the run.
+ */
+std::unique_ptr<SharedCpuTier>
+makeSharedCpuTier(const ClusterConfig &cfg)
+{
+    if (!cfg.sharedCpu.enabled)
+        return nullptr;
+    std::int64_t cap = cfg.sharedCpu.bytes;
+    if (cap == 0) {
+        // Same total DRAM as the private split: only replicas
+        // whose private tier would actually be enabled contribute.
+        for (const ReplicaSpec &r : cfg.replicas) {
+            if (r.cfg.cpuCacheTier)
+                cap += r.cfg.cpuCacheBytes;
+        }
+    }
+    COSERVE_CHECK(cap > 0, "sharedCpu needs bytes ",
+                  "or replicas with an enabled cpuCacheTier");
+    return std::make_unique<SharedCpuTier>(cap);
+}
+
+/** How a coordinator span-trace instant shows one decision kind. */
+struct InstantShape
+{
+    /** Instant name; null when the kind emits no instant. */
+    const char *name;
+    /** Name when the decision lost its image (null: none). */
+    const char *lostName;
+    /** Argument keys of payloads a, b, c; a null key ends the list. */
+    const char *keys[3];
+};
+
+/** One row per DecisionKind, in enum order. */
+constexpr InstantShape kInstants[] = {
+    {"route", "route (lost)", {"image", "replica", nullptr}},
+    {"admission reject", nullptr, {"image", nullptr, nullptr}},
+    {"admission downgrade", nullptr, {"image", nullptr, nullptr}},
+    {"steal", nullptr, {"victim", "thief", "requests"}},
+    {"scale-up", nullptr, {"replica", nullptr, nullptr}},
+    {"quiesce", nullptr, {"replica", nullptr, nullptr}},
+    {"evacuate", nullptr, {"from", "to", "requests"}},
+    {"crash", nullptr, {"replica", "rehomed", "lost"}},
+    {"straggler on", nullptr, {"replica", nullptr, nullptr}},
+    {"straggler off", nullptr, {"replica", nullptr, nullptr}},
+    {"brownout on", nullptr, {"replica", nullptr, nullptr}},
+    {"brownout off", nullptr, {"replica", nullptr, nullptr}},
+    // Replica-local preemption decisions are recorded, not traced:
+    // the replica's own spans show them.
+    {nullptr, nullptr, {nullptr, nullptr, nullptr}},
+    {nullptr, nullptr, {nullptr, nullptr, nullptr}},
+    {nullptr, nullptr, {nullptr, nullptr, nullptr}},
+    {"migrate", nullptr, {"from", "to", "requests"}},
+};
+static_assert(std::size(kInstants) ==
+                  static_cast<std::size_t>(DecisionKind::Migrate) + 1,
+              "one instant shape per decision kind");
+
+/**
+ * The cluster coordinator of one run. It owns the replica engines
+ * and steps them on the shared virtual clock; between steps it routes
+ * arrivals (pinned to the offline assignment in static mode, live in
+ * online mode), applies admission, work stealing, autoscaling, fault
+ * actions and checkpoint migration, samples telemetry epochs, and
+ * records every decision. The tallies go straight into the result.
+ */
+class Coordinator
+{
+  public:
+    Coordinator(const ClusterConfig &cfg, const Trace &trace,
+                const RunOptions &opts, DecisionTrace &decisions,
+                obs::Telemetry &telem)
+        : cfg_(cfg), as_(cfg.autoscale), trace_(trace),
+          decisions_(decisions), telem_(telem),
+          coordTr_(telem.coordinatorTracer()), n_(cfg.replicas.size()),
+          model_(cfg.replicas.front().ctx->model()),
+          views_(replicaViews(cfg)), caps_(views_, model_),
+          liveRouting_(cfg.resolveMode(opts) == RunMode::Online),
+          preemptOn_(cfg.preemption.enabled),
+          migrationOn_(preemptOn_ && cfg.preemption.migration),
+          sloTrace_(std::any_of(trace.arrivals.begin(), trace.arrivals.end(),
+                                [](const ImageArrival &a) {
+                                    return sloTracked(a.cls) ||
+                                           a.deadline != kTimeNever;
+                                })),
+          admission_(cfg.admission), faults_(flattenFaults(opts.faults)),
+          sharedCpu_(makeSharedCpuTier(cfg)),
+          independent_(!liveRouting_ && sharedCpu_ == nullptr &&
+                       !migrationOn_ && faults_.empty()),
+          router_(makeRouter(cfg.routing, model_, views_)), live_(n_),
+          dirty_(n_, 1), active_(n_, 1), activeCount_(n_),
+          crashed_(n_, 0), lastScaleAction_(-as_.cooldown),
+          nextControl_(as_.interval), quiesceStart_(n_, kTimeNever),
+          rehomeCnt_(n_, 0)
+    {
+        COSERVE_CHECK(std::is_sorted(trace.arrivals.begin(),
+                                     trace.arrivals.end(),
+                                     [](const ImageArrival &x,
+                                        const ImageArrival &y) {
+                                         return x.time < y.time;
+                                     }),
+                      "cluster runs need time-sorted arrivals");
+
+        // Static mode pins routing to the offline assignment; re-homing
+        // applies only when the assigned replica has crashed. Routing
+        // counts toward the "build" host phase but not toward wallSeconds,
+        // which times the replicas from construction to collection.
+        const WallTimer buildWall;
+        if (!liveRouting_) {
+            assignment_.reserve(trace.arrivals.size());
+            for (const ImageArrival &a : trace.arrivals)
+                assignment_.push_back(router_->route(a));
+        }
+        wall_.restart();
+        engines_.reserve(n_);
+        for (std::size_t i = 0; i < n_; ++i) {
+            EngineConfig ecfg = cfg.replicas[i].cfg;
+            ecfg.label = cfg.label + "/replica" + std::to_string(i);
+            if (sharedCpu_ != nullptr)
+                ecfg.externalCpuTier = sharedCpu_.get();
+            // This replica's span-trace buffer (null unless telemetry
+            // is enabled), pre-created by the Telemetry ctor, so a
+            // replica stepping on its own thread races no other for it.
+            ecfg.tracer = telem.replicaTracer(static_cast<int>(i));
+            // Cluster-level preemption policy applies uniformly:
+            // migration break-even and hysteresis must agree across
+            // replicas or a group migratable at its source would be
+            // un-adoptable at its target.
+            if (cfg.preemption.enabled)
+                ecfg.preemption = cfg.preemption;
+            engines_.push_back(
+                makeCoServeEngine(*cfg.replicas[i].ctx, std::move(ecfg)));
+            // Disjoint strided id spaces: stolen requests keep their
+            // id, so ids must stay unique cluster-wide.
+            engines_.back()->beginOnline(static_cast<RequestId>(i),
+                                         static_cast<RequestId>(n_));
+        }
+        telem.host().add("build", buildWall.elapsedMicros());
+
+        if (coordTr_ != nullptr) {
+            coordTr_->setProcessName("coordinator");
+            coordTr_->setThreadName(0, "coordinator");
+        }
+        if (as_.enabled) {
+            std::size_t start = as_.startReplicas == 0 ? as_.minReplicas
+                                                       : as_.startReplicas;
+            for (std::size_t i = std::min(start, n_); i < n_; ++i)
+                setActive(i, false, 0);
+            // The initial active set must cover every component on a
+            // heterogeneous cluster (the quiesce path's coverage rule).
+            for (std::size_t c = 0; c < model_.numComponents(); ++c) {
+                const std::size_t i =
+                    coverageCandidate(static_cast<ComponentId>(c));
+                if (i < n_)
+                    setActive(i, true, 0);
+            }
+        }
+
+        out_.label = cfg.label;
+        out_.routing = toString(cfg.routing);
+        out_.workStealingEnabled = cfg.workStealing.enabled;
+        out_.stolenFromReplica.assign(n_, 0);
+        out_.stolenToReplica.assign(n_, 0);
+        out_.autoscaleEnabled = as_.enabled;
+        out_.preemptionEnabled = preemptOn_;
+        out_.faultsInjected = opts.faults.any();
+    }
+
+    // advance() and the queue filters hand `this` to other code.
+    Coordinator(const Coordinator &) = delete;
+    Coordinator &operator=(const Coordinator &) = delete;
+
+    /** Serve the trace to completion; @return the collected result. */
+    ClusterResult
+    run()
+    {
+        if (independent_) {
+            // Arrivals are not decisions here: every Route record comes
+            // first, and the first advance() admits the arrivals.
+            for (; next_ < trace_.arrivals.size(); ++next_) {
+                assignment_[next_] =
+                    placeArrival(trace_.arrivals[next_], next_,
+                                 assignment_[next_]);
+            }
+            admitPending_ = next_ > 0;
+        }
+
+        // The next thing that happens cluster-wide is the earliest of the
+        // next sampler tick, fault action, control tick (autoscale only),
+        // arrival and replica event. At one instant t they go in that
+        // order: sampler rows observe before anything moves; a fault
+        // first runs the replica events at t (advance runs events <= t)
+        // and then applies, so a crash at t spares work finishing at t;
+        // then control, so same-time arrivals see the post-scale active
+        // set; then arrivals, ahead of later replica events, so routing
+        // sees state as of the arrival instant. Independent replicas have
+        // only sampler ticks to stop at. Everything is driven by virtual
+        // time, so the schedule is reproducible by construction. Fault
+        // actions after the last arrival and event are never applied
+        // (there is nothing left for them to affect).
+        const WallTimer coordWall;
+        for (;;) {
+            const Time tArr = next_ < trace_.arrivals.size()
+                                  ? trace_.arrivals[next_].time
+                                  : kTimeNever;
+            const Time tEv = nextReplicaTime();
+            if (tArr == kTimeNever && tEv == kTimeNever)
+                break;
+            const Time tFault =
+                nextFault_ < faults_.size() ? faults_[nextFault_].time
+                                            : kTimeNever;
+            const Time tCtl = as_.enabled ? nextControl_ : kTimeNever;
+            const Time tSample = telem_.nextSampleTime();
+
+            if (tSample <= std::min({tArr, tEv, tFault, tCtl})) {
+                recordEpochSample(tSample);
+            } else if (tFault <= std::min({tArr, tEv, tCtl})) {
+                advance(tFault);
+                applyFault(faults_[nextFault_++]);
+            } else if (tCtl <= std::min(tArr, tEv)) {
+                advance(tCtl);
+                runControl(tCtl);
+                nextControl_ += as_.interval;
+            } else if (tArr <= tEv) {
+                advance(tArr);
+                admitAndRoute();
+            } else if (independent_) {
+                // Step to just before the next tick, or to idle.
+                advance(tSample == kTimeNever ? kTimeNever : tSample - 1);
+            } else {
+                // Replica events precede the next arrival: execute the
+                // earliest round everywhere, then let idle replicas steal.
+                advance(tEv);
+                if (cfg_.workStealing.enabled)
+                    maybeSteal(tEv);
+            }
+        }
+        telem_.host().add("coordinate", coordWall.elapsedMicros());
+        return collect();
+    }
+
+  private:
+    /** How record() traces a decision. */
+    enum class Instant
+    {
+        /** The kind's instant from kInstants (if it has one). */
+        Named,
+        /** The kind's lost-image instant: name lostName, key a only. */
+        Lost,
+        /** No instant. */
+        None,
+    };
+
+    /** Note @p d in the decision stream and trace its instant. */
+    void
+    record(const DecisionRecord &d, Instant instant = Instant::Named)
+    {
+        decisions_.note(d);
+        if (coordTr_ == nullptr || instant == Instant::None)
+            return;
+        const InstantShape &shape =
+            kInstants[static_cast<std::size_t>(d.kind)];
+        const bool lost = instant == Instant::Lost;
+        const char *name = lost ? shape.lostName : shape.name;
+        if (name == nullptr)
+            return;
+        const auto arg = [&shape](std::size_t k, std::uint64_t v) {
+            return obs::TraceArg{shape.keys[k], static_cast<std::int64_t>(v)};
+        };
+        coordTr_->instant(name, 0, d.time, arg(0, d.a),
+                          lost ? obs::TraceArg{} : arg(1, d.b),
+                          lost ? obs::TraceArg{} : arg(2, d.c));
+    }
+
+    void
+    drainPreempt(std::size_t i)
+    {
+        // Replica-local preemption decisions (pause / checkpoint /
+        // restore) are part of the replayable schedule, drained into the
+        // decision stream in replica order after every step.
+        if (!preemptOn_)
+            return;
+        pevBuf_.clear();
+        engines_[i]->drainPreemptEvents(pevBuf_);
+        for (const PreemptEvent &ev : pevBuf_)
+            record(preemptRecord(i, ev));
+    }
+
+    /** Update the active set, its time integral and the view gate. */
+    void
+    setActive(std::size_t i, bool on, Time now)
+    {
+        if ((active_[i] != 0) == on)
+            return;
+        activeIntegral_ += static_cast<double>(activeCount_) *
+                           static_cast<double>(now - lastActiveMark_);
+        lastActiveMark_ = now;
+        active_[i] = on ? 1 : 0;
+        activeCount_ = on ? activeCount_ + 1 : activeCount_ - 1;
+        live_[i].acceptingWork = on;
+    }
+
+    /** Wake quiesced replica @p i: built, preloaded, idle, instant. */
+    void
+    activate(std::size_t i, Time now)
+    {
+        setActive(i, true, now);
+        out_.autoscaleActivations += 1;
+        record({now, DecisionKind::ScaleUp, i, 0, 0});
+    }
+
+    /**
+     * Routers abort on an arrival no active replica can chain-serve, so
+     * every component needs an active capable replica. @return the
+     * lowest-index live quiesced replica that would cover @p comp, or n
+     * when it is already covered (or nothing left can serve it).
+     */
+    std::size_t
+    coverageCandidate(ComponentId comp) const
+    {
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (active_[i] && caps_.chainServes(i, comp))
+                return n_;
+        }
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (!active_[i] && !crashed_[i] && caps_.chainServes(i, comp))
+                return i;
+        }
+        return n_;
+    }
+
+    /**
+     * Quiescing must never leave a component unservable: on a
+     * heterogeneous cluster the candidate may be the last active replica
+     * capable of some chain.
+     */
+    bool
+    activeSetCovers(std::size_t excluding) const
+    {
+        for (std::size_t c = 0; c < model_.numComponents(); ++c) {
+            bool covered = false;
+            for (std::size_t i = 0; i < n_ && !covered; ++i) {
+                covered = i != excluding && active_[i] &&
+                          caps_.chainServes(i, static_cast<ComponentId>(c));
+            }
+            if (!covered)
+                return false;
+        }
+        return true;
+    }
+
+    void
+    refreshView(std::size_t i)
+    {
+        engines_[i]->fillLoadView(live_[i]);
+        // fillLoadView resets the gate; re-apply the active set.
+        live_[i].acceptingWork = active_[i] != 0;
+        dirty_[i] = 0;
+    }
+
+    void
+    refreshViews()
+    {
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (dirty_[i])
+                refreshView(i);
+        }
+    }
+
+    /** Earliest pending replica event, pinned admissions included. */
+    Time
+    nextReplicaTime()
+    {
+        Time t = admitPending_ ? trace_.arrivals.front().time : kTimeNever;
+        for (const auto &engine : engines_)
+            t = std::min(t, engine->nextEventTime());
+        return t;
+    }
+
+    /**
+     * Execute every replica event at or before @p until (kTimeNever: run
+     * to idle), then drain what the step produced: preemption records,
+     * checkpoint outboxes and finished quiesce drains. Independent
+     * replicas step on threads; coupled ones in lockstep, in replica order.
+     */
+    void
+    advance(Time until)
+    {
+        if (independent_) {
+            advanceThreaded(until);
+            return;
+        }
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (engines_[i]->stepUntil(until) > 0) {
+                dirty_[i] = 1;
+                drainPreempt(i);
+            }
+        }
+        if (migrationOn_)
+            drainOutboxes(until);
+        noteQuiesceDrains();
+    }
+
+    void
+    advanceThreaded(Time until)
+    {
+        // The first call also admits every pinned arrival onto its
+        // replica, on that replica's thread.
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (!admitPending_ && engines_[i]->nextEventTime() > until)
+                continue;
+            const std::size_t admit = admitPending_ ? next_ : 0;
+            threads.emplace_back([this, i, until, admit]() {
+                for (std::size_t idx = 0; idx < admit; ++idx) {
+                    if (assignment_[idx] == i)
+                        engines_[i]->admitArrival(trace_.arrivals[idx]);
+                }
+                engines_[i]->stepUntil(until);
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+        admitPending_ = false;
+        if (!preemptOn_)
+            return;
+        // Preemption records merged by (time, replica), stable within a
+        // replica: the same stream wherever the sampler ticks cut the run.
+        threadedPreempts_.clear();
+        for (std::size_t i = 0; i < n_; ++i) {
+            pevBuf_.clear();
+            engines_[i]->drainPreemptEvents(pevBuf_);
+            for (const PreemptEvent &ev : pevBuf_)
+                threadedPreempts_.emplace_back(ev, i);
+        }
+        std::stable_sort(threadedPreempts_.begin(), threadedPreempts_.end(),
+                         [](const auto &x, const auto &y) {
+                             return x.first.time < y.first.time;
+                         });
+        for (const auto &[ev, i] : threadedPreempts_)
+            record(preemptRecord(i, ev));
+    }
+
+    /**
+     * Quiesce-drain latency: virtual time from a quiesce decision to the
+     * replica going fully idle — the metric migration shrinks (no more
+     * waiting out the longest running batch).
+     */
+    void
+    noteQuiesceDrains()
+    {
+        if (quiescing_ == 0)
+            return;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (quiesceStart_[i] == kTimeNever)
+                continue;
+            if (crashed_[i] != 0 || active_[i] != 0) {
+                // Died or was re-activated mid-drain: not a completed
+                // quiesce, so it does not enter the drain statistics.
+                quiesceStart_[i] = kTimeNever;
+                quiescing_ -= 1;
+                continue;
+            }
+            if (engines_[i]->nextEventTime() != kTimeNever)
+                continue;
+            const Time drain = engines_[i]->now() - quiesceStart_[i];
+            out_.quiesceDrains += 1;
+            out_.quiesceDrainTotal += drain;
+            out_.quiesceDrainMax = std::max(out_.quiesceDrainMax, drain);
+            quiesceStart_[i] = kTimeNever;
+            quiescing_ -= 1;
+        }
+    }
+
+    /**
+     * Keep the upcoming demand loads of re-routed requests resident in
+     * the shared DRAM tier (steal-aware admission,
+     * SharedCpuTier::hintUpcomingLoads).
+     */
+    void
+    hintSharedTier(const std::vector<Request> &loot)
+    {
+        if (sharedCpu_ == nullptr || loot.empty())
+            return;
+        lootExperts_.clear();
+        for (const Request &req : loot)
+            lootExperts_.push_back(req.expert);
+        std::sort(lootExperts_.begin(), lootExperts_.end());
+        lootExperts_.erase(
+            std::unique(lootExperts_.begin(), lootExperts_.end()),
+            lootExperts_.end());
+        sharedCpu_->hintUpcomingLoads(lootExperts_);
+    }
+
+    /**
+     * May replica @p i take @p req? Steals, evacuations, migrations and
+     * crash re-homing move work only to a replica whose context can
+     * serve it, chain included (the routers' rule, router.h): on a
+     * heterogeneous cluster a replica may never have been profiled for
+     * some architecture, and dispatching there aborts deep in the
+     * scheduler's estimate.
+     */
+    bool
+    serves(std::size_t i, const Request &req) const
+    {
+        if (req.stage == Stage::Classify)
+            return caps_.chainServes(i, req.component);
+        return caps_.serves(i, model_.expert(req.expert).arch);
+    }
+
+    /** serves() as a request-queue filter for replica @p i. */
+    RequestQueue::StealFilter
+    servesFilter(std::size_t i) const
+    {
+        return [this, i](const Request &req) { return serves(i, req); };
+    }
+
+    /**
+     * Migration target selection, shared by the outbox drain and crash
+     * evacuation: least-backlogged active capable replica of the image's
+     * processor kind (ties: lowest index). A live source with no target
+     * keeps its group (self-migration, recorded so replays cover the
+     * fallback); a dead source's unroutable group is lost, recorded with
+     * the out-of-range sentinel target n (the caller accounts it).
+     * Assumes refreshViews() ran. @return false when the group is lost.
+     */
+    bool
+    routeCheckpoint(std::size_t src, CheckpointImage img, Time now)
+    {
+        std::size_t target = n_;
+        Time bestLoad = 0;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (i == src || !active_[i] || crashed_[i] ||
+                !engines_[i]->hasExecutorKind(img.kind))
+                continue;
+            bool ok = true;
+            for (const Request &req : img.requests)
+                ok = ok && serves(i, req);
+            if (ok && (target == n_ || live_[i].backlog < bestLoad)) {
+                target = i;
+                bestLoad = live_[i].backlog;
+            }
+        }
+        const std::uint64_t cnt = img.requests.size();
+        if (target == n_) {
+            if (crashed_[src]) {
+                record({now, DecisionKind::Migrate, src, n_, cnt},
+                       Instant::None);
+                return false;
+            }
+            target = src;
+        }
+        record({now, DecisionKind::Migrate, src, target, cnt});
+        if (target != src) {
+            out_.migratedGroups += 1;
+            out_.migratedRequests += static_cast<std::int64_t>(cnt);
+            hintSharedTier(img.requests);
+        }
+        engines_[target]->adoptCheckpoint(std::move(img));
+        dirty_[target] = 1;
+        return true;
+    }
+
+    /** Route completed checkpoint saves out of the replica outboxes. */
+    void
+    drainOutboxes(Time now)
+    {
+        for (std::size_t src = 0; src < n_; ++src) {
+            imgBuf_.clear();
+            if (engines_[src]->takeMigratedImages(imgBuf_) == 0)
+                continue;
+            refreshViews();
+            for (CheckpointImage &img : imgBuf_) {
+                const bool routed = routeCheckpoint(src, std::move(img), now);
+                COSERVE_CHECK(routed,
+                              "outbox image stranded on a crashed replica");
+            }
+        }
+    }
+
+    /**
+     * An idle replica raids the most backlogged sibling whose
+     * queued-but-unstarted count exceeds the threshold, taking half the
+     * backlog. The victim's *time* backlog must also dwarf a demand load —
+     * a thief almost always pays one switch for its loot, and stealing a
+     * trivial batch trades a ~5 ms/img backlog for a ~100 ms load.
+     * Deterministic: fixed iteration order on the shared clock.
+     */
+    void
+    maybeSteal(Time now)
+    {
+        bool anyIdle = false;
+        for (const auto &engine : engines_)
+            anyIdle = anyIdle || engine->nextEventTime() == kTimeNever;
+        if (!anyIdle)
+            return; // common case: skip the full view refresh
+        refreshViews();
+        for (std::size_t thief = 0; thief < n_; ++thief) {
+            // A quiesced or crashed replica must not pull new work.
+            if (!live_[thief].idle || !active_[thief])
+                continue;
+            std::size_t victim = n_;
+            std::size_t depth = cfg_.workStealing.backlogThreshold;
+            for (std::size_t j = 0; j < n_; ++j) {
+                if (j != thief && live_[j].queueDepth > depth &&
+                    live_[j].backlog > cfg_.workStealing.minBacklog) {
+                    depth = live_[j].queueDepth;
+                    victim = j;
+                }
+            }
+            if (victim == n_) {
+                migrateSteal(thief);
+                continue;
+            }
+            reqBuf_.clear();
+            const std::size_t want = live_[victim].queueDepth / 2;
+            const RequestQueue::StealFilter serve = servesFilter(thief);
+            std::size_t got = 0;
+            if (sloTrace_) {
+                // Deadline-aware pass first: prefer the loot that would
+                // *violate* if it stayed — requests whose deadline falls
+                // inside the victim's predicted backlog drain. Only then
+                // top up with arbitrary (servable) tail requests.
+                const Time victimEta =
+                    live_[victim].now + live_[victim].backlog;
+                const RequestQueue::StealFilter atRisk =
+                    [&serve, victimEta](const Request &req) {
+                        return req.deadline != kTimeNever &&
+                               req.deadline < victimEta && serve(req);
+                    };
+                got = engines_[victim]->stealRequests(want, reqBuf_, atRisk);
+            }
+            if (got < want) {
+                got += engines_[victim]->stealRequests(want - got, reqBuf_,
+                                                       serve);
+            }
+            if (got == 0) {
+                migrateSteal(thief);
+                continue;
+            }
+            record({now, DecisionKind::Steal, victim, thief, got});
+            hintSharedTier(reqBuf_);
+            for (const Request &req : reqBuf_)
+                engines_[thief]->injectRequest(req);
+            out_.stolenFromReplica[victim] += static_cast<std::int64_t>(got);
+            out_.stolenToReplica[thief] += static_cast<std::int64_t>(got);
+            out_.stolenRequests += static_cast<std::int64_t>(got);
+            // Only the two parties' state changed.
+            refreshView(thief);
+            refreshView(victim);
+        }
+    }
+
+    /**
+     * In-flight stealing: when an idle thief finds no queued loot, it may
+     * still pull the checkpointed tail of a *running* batch off a sibling
+     * that has more queued work stuck behind it. The pause request is
+     * issued here; the image lands in the sibling's outbox after the
+     * (charged) save and drainOutboxes routes it to the least-loaded
+     * capable replica. The break-even guard (migrationMinRemaining) and
+     * the per-group preemption budget bound the churn.
+     */
+    void
+    migrateSteal(std::size_t thief)
+    {
+        if (!migrationOn_)
+            return;
+        for (std::size_t j = 0; j < n_; ++j) {
+            if (j == thief || crashed_[j] || live_[j].queueDepth == 0 ||
+                !engines_[j]->hasMigratableGroup())
+                continue;
+            if (engines_[j]->requestMigrateOut(1) > 0)
+                return;
+        }
+    }
+
+    /**
+     * Drain quiescing replica @p q through the steal machinery: its
+     * queued-but-unstarted requests re-route to active siblings in small
+     * round-robin chunks (no sibling swallows the whole drain), each
+     * sibling filtering by its own capability. Queue heads stay behind by
+     * design (stealFromTail) and finish where they are — quiesce is a
+     * drain, not a kill.
+     */
+    void
+    evacuate(std::size_t q, Time now)
+    {
+        bool progress = true;
+        while (progress) {
+            progress = false;
+            for (std::size_t t = 0; t < n_; ++t) {
+                if (!active_[t] || t == q)
+                    continue;
+                reqBuf_.clear();
+                const std::size_t got =
+                    engines_[q]->stealRequests(4, reqBuf_, servesFilter(t));
+                if (got == 0)
+                    continue;
+                record({now, DecisionKind::Evacuate, q, t, got});
+                hintSharedTier(reqBuf_);
+                for (const Request &req : reqBuf_)
+                    engines_[t]->injectRequest(req);
+                out_.autoscaleEvacuated += static_cast<std::int64_t>(got);
+                dirty_[t] = 1;
+                progress = true;
+            }
+        }
+        // With migration on, the drain takes the *running* batches too:
+        // each pauses at its next step boundary, checkpoints and migrates
+        // to an active sibling. (Queue heads and short tails below the
+        // break-even guard still finish in place.)
+        if (migrationOn_) {
+            engines_[q]->requestMigrateOut(
+                std::numeric_limits<std::size_t>::max());
+        }
+        dirty_[q] = 1;
+    }
+
+    void
+    runControl(Time now)
+    {
+        // Window signals: SLO violation rate and queued backlog per
+        // active replica since the previous control tick.
+        std::int64_t completed = 0, violated = 0;
+        for (const auto &engine : engines_) {
+            completed += engine->sloStats().completed();
+            violated += engine->sloStats().violated();
+        }
+        const std::int64_t dc = completed - lastCompleted_;
+        const std::int64_t dv = violated - lastViolated_;
+        lastCompleted_ = completed;
+        lastViolated_ = violated;
+        const double violRate =
+            dc > 0 ? static_cast<double>(dv) / static_cast<double>(dc) : 0.0;
+        refreshViews();
+        std::size_t backlog = 0;
+        for (std::size_t i = 0; i < n_; ++i)
+            backlog += live_[i].queueDepth;
+        const double perActive =
+            static_cast<double>(backlog) /
+            static_cast<double>(activeCount_ > 0 ? activeCount_ : 1);
+
+        // Scale up fast, down slow (the classic asymmetry): only quiesces
+        // respect the cooldown — underprovision costs violations
+        // immediately, overprovision only efficiency.
+        if ((violRate > as_.violationHigh ||
+             perActive > static_cast<double>(as_.backlogHigh)) &&
+            activeCount_ < n_ - crashedCount_) {
+            // Wake the lowest-index quiesced replica. Crashed replicas
+            // never come back.
+            for (std::size_t i = 0; i < n_; ++i) {
+                if (active_[i] || crashed_[i])
+                    continue;
+                activate(i, now);
+                lastScaleAction_ = now;
+                break;
+            }
+        } else if (violRate < as_.violationLow &&
+                   perActive <= static_cast<double>(as_.backlogLow) &&
+                   activeCount_ > as_.minReplicas &&
+                   now - lastScaleAction_ >= as_.cooldown) {
+            // Quiesce the active replica with the least queued work (ties:
+            // highest index, so replica 0 is the stable core), provided
+            // coverage survives.
+            std::size_t q = n_;
+            std::size_t qDepth = 0;
+            for (std::size_t i = 0; i < n_; ++i) {
+                if (active_[i] && (q == n_ || live_[i].queueDepth <= qDepth)) {
+                    q = i;
+                    qDepth = live_[i].queueDepth;
+                }
+            }
+            if (q == n_ || !activeSetCovers(q))
+                return;
+            setActive(q, false, now);
+            out_.autoscaleQuiesces += 1;
+            lastScaleAction_ = now;
+            record({now, DecisionKind::Quiesce, q, 0, 0});
+            evacuate(q, now);
+            if (quiesceStart_[q] == kTimeNever) {
+                quiesceStart_[q] = now;
+                quiescing_ += 1;
+            }
+        }
+    }
+
+    void
+    applyFault(const FaultAction &f)
+    {
+        switch (f.kind) {
+        case DecisionKind::Crash:
+            crash(f);
+            return;
+        case DecisionKind::StragglerOn:
+            out_.stragglersInjected += 1;
+            [[fallthrough]];
+        case DecisionKind::StragglerOff:
+            engines_[f.replica]->setComputeScale(f.factor);
+            break;
+        case DecisionKind::BrownoutOn:
+            out_.brownoutsInjected += 1;
+            [[fallthrough]];
+        case DecisionKind::BrownoutOff:
+            engines_[f.replica]->setStorageRateScale(f.factor);
+            break;
+        default:
+            panic("unexpected fault action kind");
+        }
+        // Window starts record their factor; ends restore full speed.
+        const bool starts = f.kind == DecisionKind::StragglerOn ||
+                            f.kind == DecisionKind::BrownoutOn;
+        record({f.time, f.kind, f.replica, starts ? ppm(f.factor) : 0, 0});
+    }
+
+    void
+    crash(const FaultAction &f)
+    {
+        const std::size_t r = f.replica;
+        COSERVE_CHECK(!crashed_[r], "replica crashed twice");
+        setActive(r, false, f.time);
+        crashed_[r] = 1;
+        crashedCount_ += 1;
+        out_.crashesInjected += 1;
+        // With autoscale on, the dead replica may have been the last
+        // active one able to serve some component (or the last active one
+        // at all): wake quiesced survivors to restore coverage before
+        // anything is re-homed.
+        if (as_.enabled) {
+            for (std::size_t c = 0; c < model_.numComponents(); ++c) {
+                const std::size_t i =
+                    coverageCandidate(static_cast<ComponentId>(c));
+                if (i < n_)
+                    activate(i, f.time);
+            }
+        }
+        // Lossless recovery of in-flight work: capture every running
+        // batch at its last *completed* step boundary (plus parked and
+        // outbox images — the periodic boundary save is what survives a
+        // crash) and migrate the checkpoints to capable survivors, which
+        // resume the groups instead of re-running them from scratch. Work
+        // since the last boundary is honestly re-executed.
+        std::uint64_t lost = 0;
+        if (migrationOn_) {
+            imgBuf_.clear();
+            engines_[r]->captureCheckpoints(imgBuf_);
+            drainPreempt(r); // the capture's Checkpoint records
+            refreshViews();
+            for (CheckpointImage &img : imgBuf_) {
+                const std::uint64_t cnt = img.requests.size();
+                if (!routeCheckpoint(r, std::move(img), f.time))
+                    lost += cnt;
+            }
+        }
+        // Drain queued + in-flight work off the dead replica and re-home
+        // it round-robin onto active capable siblings (each filtered by
+        // its own capability, like evacuation). Work no survivor can
+        // serve is lost — and accounted.
+        reqBuf_.clear();
+        engines_[r]->crashDrain(reqBuf_);
+        dirty_[r] = 1;
+        hintSharedTier(reqBuf_);
+        std::fill(rehomeCnt_.begin(), rehomeCnt_.end(), 0);
+        std::uint64_t rehomed = 0;
+        std::size_t cursor = (r + 1) % n_;
+        for (const Request &req : reqBuf_) {
+            std::size_t target = n_;
+            for (std::size_t j = 0; j < n_ && target == n_; ++j) {
+                const std::size_t i = (cursor + j) % n_;
+                if (i != r && active_[i] && serves(i, req))
+                    target = i;
+            }
+            if (target == n_)
+                continue;
+            cursor = (target + 1) % n_;
+            engines_[target]->injectRequest(req);
+            rehomeCnt_[target] += 1;
+            rehomed += 1;
+            dirty_[target] = 1;
+        }
+        // One request per image is in flight at a time, so every lost
+        // request is exactly one lost image.
+        lost += reqBuf_.size() - rehomed;
+        out_.crashRehomed += static_cast<std::int64_t>(rehomed);
+        out_.crashLost += static_cast<std::int64_t>(lost);
+        record({f.time, DecisionKind::Crash, r, rehomed, lost});
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (rehomeCnt_[i] > 0) {
+                record({f.time, DecisionKind::Evacuate, r, i,
+                        static_cast<std::uint64_t>(rehomeCnt_[i])},
+                       Instant::None);
+            }
+        }
+    }
+
+    /**
+     * A sample observes the quiescent DES state between coordinator steps
+     * WITHOUT stepping any engine: an extra advance() cut point would
+     * reorder the preempt/outbox/quiesce drains relative to an unsampled
+     * run and drift the decision digest. Pure observation keeps telemetry
+     * on/off byte-identical.
+     */
+    void
+    recordEpochSample(Time t)
+    {
+        obs::SampleRow row;
+        row.t = t;
+        row.activeReplicas = static_cast<int>(activeCount_);
+        std::int64_t gpuHits = 0, gpuMisses = 0;
+        std::int64_t cpuHits = 0, cpuMisses = 0;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (crashed_[i])
+                continue;
+            // queuedRequestCount() + sampleHitCounters(), not
+            // fillLoadView() + appendTierStats(): a load view copies
+            // per-executor loads and the expert membership flags the
+            // sample never reads, and TierStats rows copy tier name
+            // strings on every call — work the <5% tracing overhead
+            // budget has no room for.
+            row.queueDepth += engines_[i]->queuedRequestCount();
+            engines_[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
+                                           cpuMisses);
+        }
+        if (sharedCpu_ != nullptr) {
+            const TierStats shared = sharedCpu_->stats();
+            cpuHits += shared.counters.hits;
+            cpuMisses += shared.counters.misses;
+        }
+        if (gpuHits + gpuMisses > 0) {
+            row.gpuHitRate = static_cast<double>(gpuHits) /
+                             static_cast<double>(gpuHits + gpuMisses);
+        }
+        if (cpuHits + cpuMisses > 0) {
+            row.cpuHitRate = static_cast<double>(cpuHits) /
+                             static_cast<double>(cpuHits + cpuMisses);
+        }
+        // Progress counts every engine, crashed ones included: their
+        // pre-crash work stays in the run's totals.
+        for (const auto &engine : engines_)
+            engine->sampleProgress(row.images, row.inferences,
+                                   row.preemptions);
+        if (t > 0) {
+            row.goodputImgPerSec =
+                static_cast<double>(row.images) / toSeconds(t);
+        }
+        telem_.recordSample(row);
+    }
+
+    /**
+     * Where arrival @p idx goes, given the replica @p r it was routed (or
+     * pinned) to. Offline-fallback routers (round-robin) ignore the
+     * acceptingWork gate, and a pinned static assignment may point at a
+     * replica that crashed since routing: re-home onto the next active
+     * capable replica. If none exists (possible only on a pathological
+     * heterogeneous config), serve on the quiesced pick rather than lose
+     * the image — unless it crashed, in which case the image is lost and
+     * recorded with the out-of-range sentinel replica n, so replays still
+     * cover it. @return the serving replica, or n when the image is lost.
+     */
+    std::size_t
+    placeArrival(const ImageArrival &a, std::uint64_t idx, std::size_t r)
+    {
+        if (!active_[r]) {
+            for (std::size_t j = 0; j < n_; ++j) {
+                const std::size_t i = (r + j) % n_;
+                if (active_[i] && caps_.chainServes(i, a.component)) {
+                    r = i;
+                    break;
+                }
+            }
+        }
+        if (crashed_[r]) {
+            out_.crashLost += 1;
+            record({a.time, DecisionKind::Route, idx, n_, 0}, Instant::Lost);
+            return n_;
+        }
+        record({a.time, DecisionKind::Route, idx, r, 0});
+        return r;
+    }
+
+    /**
+     * Admit the next arrival: cluster-level admission, then routing (live
+     * views in online mode, the pinned assignment in static mode), then
+     * the chosen replica executes the admission's dispatch at once, so a
+     * same-time burst of arrivals sees each predecessor in the queues
+     * rather than racing into one replica.
+     */
+    void
+    admitAndRoute()
+    {
+        ImageArrival a = trace_.arrivals[next_];
+        const auto idx = static_cast<std::uint64_t>(next_);
+        ++next_;
+
+        // Cluster-level admission (online only): can *any* active capable
+        // replica make this deadline? Predicted from the live views with
+        // the same Section-4.2 estimate the routers use.
+        if (cfg_.admission.enabled && a.deadline != kTimeNever) {
+            refreshViews();
+            Time best = kTimeNever;
+            for (std::size_t i = 0; i < n_; ++i) {
+                if (!active_[i] || !caps_.chainServes(i, a.component))
+                    continue;
+                best = std::min(best, predictReplicaCompletion(
+                                          views_[i], caps_.estimateProc(i),
+                                          live_[i], model_, a));
+            }
+            const AdmissionVerdict verdict =
+                admission_.assess(a.cls, a.time, a.deadline, best);
+            const auto cls = static_cast<std::uint64_t>(a.cls);
+            if (verdict == AdmissionVerdict::Reject) {
+                out_.clusterAdmission.recordRejected(a.cls);
+                record({a.time, DecisionKind::Reject, idx, cls, 0});
+                return;
+            }
+            if (verdict == AdmissionVerdict::Downgrade) {
+                // Scheduling class drops; the deadline stays for violation
+                // accounting (see ServingEngine's admitTimed).
+                out_.clusterAdmission.recordDowngraded(a.cls);
+                record({a.time, DecisionKind::Downgrade, idx, cls, 0});
+                a.cls = RequestClass::BestEffort;
+            }
+        }
+
+        std::size_t r = 0;
+        if (liveRouting_) {
+            if (router_->usesLiveViews())
+                refreshViews();
+            r = router_->routeLive(a, live_);
+            COSERVE_CHECK(r < n_, "router returned replica ", r);
+        } else {
+            r = assignment_[idx];
+        }
+        r = placeArrival(a, idx, r);
+        if (r == n_)
+            return;
+        engines_[r]->admitArrival(a);
+        engines_[r]->stepUntil(a.time);
+        dirty_[r] = 1;
+        drainPreempt(r);
+    }
+
+    ClusterResult
+    collect()
+    {
+        const WallTimer collectWall;
+        std::vector<RunResult> results(n_);
+        std::int64_t rejected = out_.clusterAdmission.rejected();
+        for (std::size_t i = 0; i < n_; ++i) {
+            rejected += engines_[i]->rejectedImages();
+            results[i] = engines_[i]->finishOnline();
+        }
+        aggregateClusterResult(out_, std::move(results));
+        // Every arrival either completed somewhere, was rejected by
+        // admission (at the coordinator or at a replica), or was lost to
+        // an injected crash with no capable survivor.
+        COSERVE_CHECK(out_.images + rejected + out_.crashLost ==
+                          static_cast<std::int64_t>(trace_.arrivals.size()),
+                      "lost images: ", out_.images, " done + ", rejected,
+                      " rejected + ", out_.crashLost, " crash-lost of ",
+                      trace_.arrivals.size());
+        out_.wallSeconds = wall_.elapsedSeconds();
+        out_.slo.merge(out_.clusterAdmission);
+        if (as_.enabled) {
+            if (out_.makespan > lastActiveMark_) {
+                activeIntegral_ += static_cast<double>(activeCount_) *
+                                   static_cast<double>(out_.makespan -
+                                                       lastActiveMark_);
+            }
+            if (out_.makespan > 0) {
+                out_.avgActiveReplicas =
+                    activeIntegral_ / static_cast<double>(out_.makespan);
+            }
+        }
+        // The shared tier is cluster-owned: replicas do not report it, so
+        // append its (cross-replica) counters once, and fold its disk
+        // spills into the cluster-wide disk entry (private-tier runs
+        // account the same spills through each engine's own disk tier).
+        if (sharedCpu_ != nullptr) {
+            out_.tiers.push_back(sharedCpu_->stats());
+            mergeTierStats(out_.tiers, sharedCpu_->diskStats());
+        }
+        telem_.host().add("collect", collectWall.elapsedMicros());
+        return std::move(out_);
+    }
+
+    const ClusterConfig &cfg_;
+    const AutoscaleConfig &as_;
+    const Trace &trace_;
+    DecisionTrace &decisions_;
+    obs::Telemetry &telem_;
+    /** The coordinator's trace buffer (pid 0; null: telemetry off). */
+    obs::ReplicaTracer *coordTr_;
+    const std::size_t n_;
+    const CoEModel &model_;
+    const std::vector<ReplicaView> views_;
+    const ReplicaCapabilities caps_;
+    const bool liveRouting_;
+    const bool preemptOn_;
+    const bool migrationOn_;
+    /** Does the trace carry SLO metadata at all? */
+    const bool sloTrace_;
+    const AdmissionController admission_;
+    const std::vector<FaultAction> faults_;
+    std::unique_ptr<SharedCpuTier> sharedCpu_;
+    /**
+     * Nothing couples the replicas: routing is pinned and there is no
+     * shared CPU tier, migration or fault plan. Then arrivals are not
+     * decisions, and advance() steps each replica on its own thread.
+     */
+    const bool independent_;
+    std::unique_ptr<ReplicaRouter> router_;
+    /** Static mode: the offline route of every arrival. */
+    std::vector<std::size_t> assignment_;
+    /** Host time from replica construction to collection. */
+    WallTimer wall_;
+    std::vector<std::unique_ptr<ServingEngine>> engines_;
+    /** Pinned arrivals placed but not yet on their engines. */
+    bool admitPending_ = false;
+    /** Next arrival to route. */
+    std::size_t next_ = 0;
+    std::size_t nextFault_ = 0;
+
+    /**
+     * Load views, refreshed lazily: a replica's observable state only
+     * changes when it executes events or takes work, so clean views
+     * are reused across arrivals (the clock-only staleness of `now`
+     * is absorbed by the routers' max(arrival.time, ...)). A refresh
+     * costs O(executors + experts).
+     */
+    std::vector<ReplicaLoadView> live_;
+    std::vector<char> dirty_;
+
+    /** Replicas taking new work; every one unless autoscaled. */
+    std::vector<char> active_;
+    std::size_t activeCount_;
+    std::vector<char> crashed_;
+    std::size_t crashedCount_ = 0;
+    double activeIntegral_ = 0.0;
+    Time lastActiveMark_ = 0;
+
+    // Autoscale control window and quiesce-drain latency.
+    std::int64_t lastCompleted_ = 0, lastViolated_ = 0;
+    Time lastScaleAction_;
+    Time nextControl_;
+    std::vector<Time> quiesceStart_;
+    std::size_t quiescing_ = 0;
+
+    ClusterResult out_;
+
+    // Scratch buffers, reused across calls; no method filling one
+    // calls another that fills the same buffer.
+    std::vector<PreemptEvent> pevBuf_;
+    std::vector<std::pair<PreemptEvent, std::size_t>> threadedPreempts_;
+    std::vector<CheckpointImage> imgBuf_;
+    std::vector<ExpertId> lootExperts_;
+    std::vector<Request> reqBuf_;
+    std::vector<std::int64_t> rehomeCnt_;
+};
 
 } // namespace
 
@@ -317,23 +1502,13 @@ ClusterEngine::ClusterEngine(ClusterConfig cfg) : cfg_(std::move(cfg))
     }
 }
 
-std::vector<ReplicaView>
-ClusterEngine::makeReplicaViews() const
-{
-    std::vector<ReplicaView> views;
-    views.reserve(cfg_.replicas.size());
-    for (const ReplicaSpec &r : cfg_.replicas)
-        views.push_back({r.ctx, &r.cfg});
-    return views;
-}
-
 std::vector<std::size_t>
 ClusterEngine::routeTrace(const Trace &trace) const
 {
     // All replicas serve the same CoE model; route by the first's.
     auto router = makeRouter(cfg_.routing,
                              cfg_.replicas.front().ctx->model(),
-                             makeReplicaViews());
+                             replicaViews(cfg_));
 
     std::vector<std::size_t> assignment;
     assignment.reserve(trace.arrivals.size());
@@ -370,9 +1545,8 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     obs::Telemetry telem(opts.telemetry,
                          static_cast<int>(cfg_.replicas.size()));
 
-    ClusterResult out = runCoordinated(
-        trace, opts, cfg_.resolveMode(opts) == RunMode::Online, decisions,
-        telem);
+    ClusterResult out =
+        Coordinator(cfg_, trace, opts, decisions, telem).run();
 
     decisions.finish();
     out.decisionDigest = decisions.log().digest();
@@ -397,1228 +1571,6 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     }
     if (!telem.finish(out.metrics))
         fatal("telemetry: failed to write configured output files");
-    return out;
-}
-
-std::unique_ptr<SharedCpuTier>
-ClusterEngine::makeSharedCpuTier() const
-{
-    // One physical host DRAM behind all replicas: evictions from any
-    // replica's GPU pool demote into this tier, and any replica's
-    // loads may hit it. Lives only for the duration of the run.
-    if (!cfg_.sharedCpu.enabled)
-        return nullptr;
-    std::int64_t cap = cfg_.sharedCpu.bytes;
-    if (cap == 0) {
-        // Same total DRAM as the private split: only replicas
-        // whose private tier would actually be enabled contribute.
-        for (const ReplicaSpec &r : cfg_.replicas) {
-            if (r.cfg.cpuCacheTier)
-                cap += r.cfg.cpuCacheBytes;
-        }
-    }
-    COSERVE_CHECK(cap > 0, "sharedCpu needs bytes ",
-                  "or replicas with an enabled cpuCacheTier");
-    return std::make_unique<SharedCpuTier>(cap);
-}
-
-void
-ClusterEngine::appendSharedTierStats(ClusterResult &out,
-                                     const SharedCpuTier *tier)
-{
-    // The shared tier is cluster-owned: replicas do not report it, so
-    // append its (cross-replica) counters once, and fold its disk
-    // spills into the cluster-wide disk entry (private-tier runs
-    // account the same spills through each engine's own disk tier).
-    if (tier == nullptr)
-        return;
-    out.tiers.push_back(tier->stats());
-    mergeTierStats(out.tiers, tier->diskStats());
-}
-
-std::unique_ptr<ServingEngine>
-ClusterEngine::makeReplicaEngine(std::size_t i,
-                                 SharedCpuTier *sharedCpu,
-                                 obs::Telemetry &telem) const
-{
-    const ReplicaSpec &spec = cfg_.replicas[i];
-    EngineConfig cfg = spec.cfg;
-    cfg.label = cfg_.label + "/replica" + std::to_string(i);
-    if (sharedCpu != nullptr)
-        cfg.externalCpuTier = sharedCpu;
-    // This replica's span-trace buffer (null unless telemetry is
-    // enabled). The buffer is pre-created by the Telemetry ctor, so a
-    // replica stepping on its own segment thread never races another
-    // for it.
-    cfg.tracer = telem.replicaTracer(static_cast<int>(i));
-    // Cluster-level preemption policy applies uniformly: migration
-    // break-even and hysteresis must agree across replicas or a group
-    // migratable at its source would be un-adoptable at its target.
-    if (cfg_.preemption.enabled)
-        cfg.preemption = cfg_.preemption;
-    return makeCoServeEngine(*spec.ctx, std::move(cfg));
-}
-
-ClusterResult
-ClusterEngine::runCoordinated(const Trace &trace,
-                              const RunOptions &opts, bool liveRouting,
-                              DecisionTrace &decisions,
-                              obs::Telemetry &telem)
-{
-    const std::size_t n = cfg_.replicas.size();
-    std::unique_ptr<SharedCpuTier> sharedCpu = makeSharedCpuTier();
-
-    // Static mode pins routing to the offline assignment; re-homing
-    // applies only when the assigned replica has crashed. Routing
-    // counts toward the "build" host phase but not toward wallSeconds,
-    // which times the replicas from construction to collection.
-    const WallTimer buildWall;
-    std::vector<std::size_t> assignment;
-    if (!liveRouting)
-        assignment = routeTrace(trace);
-    const WallTimer wall;
-
-    // Build all replica engines up front; the coordinator steps them,
-    // in lockstep or (independent replicas) on segment threads.
-    std::vector<std::unique_ptr<ServingEngine>> engines;
-    engines.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        engines.push_back(makeReplicaEngine(i, sharedCpu.get(), telem));
-        // Disjoint strided id spaces: stolen requests keep their id,
-        // so ids must stay unique cluster-wide.
-        engines.back()->beginOnline(static_cast<RequestId>(i),
-                                    static_cast<RequestId>(n));
-    }
-    telem.host().add("build", buildWall.elapsedMicros());
-
-    // ----- observability ---------------------------------------------
-    //
-    // The coordinator's trace buffer (pid 0; null when telemetry is
-    // off). Its counters are plain tallies, exported at collection.
-    obs::ReplicaTracer *coordTr = telem.coordinatorTracer();
-    if (coordTr != nullptr) {
-        coordTr->setProcessName("coordinator");
-        coordTr->setThreadName(0, "coordinator");
-    }
-
-    const std::vector<ReplicaView> views = makeReplicaViews();
-    const CoEModel &model = cfg_.replicas.front().ctx->model();
-    const ReplicaCapabilities caps(views, model);
-    std::unique_ptr<ReplicaRouter> router;
-    if (liveRouting) {
-        router = makeRouter(cfg_.routing,
-                            cfg_.replicas.front().ctx->model(), views);
-    }
-
-    // ----- fault schedule --------------------------------------------
-    const std::vector<FaultAction> faults =
-        flattenFaults(opts.faults);
-    std::size_t nextFault = 0;
-    std::vector<char> crashed(n, 0);
-    std::size_t crashedCount = 0;
-    std::int64_t crashes = 0, rehomed = 0, lostImages = 0;
-    std::int64_t stragglers = 0, brownouts = 0;
-
-    // ----- autoscaler state ------------------------------------------
-    //
-    // Which replicas currently take new work. With autoscaling off
-    // every replica is active for the whole run and none of this has
-    // any effect — online results stay identical to PR 4.
-    const AutoscaleConfig &as = cfg_.autoscale;
-    std::vector<char> active(n, 1);
-    std::size_t activeCount = n;
-    // Routers abort on an arrival no active replica can chain-serve,
-    // so every component needs an active capable replica. @return the
-    // lowest-index live quiesced replica that would cover @p comp, or
-    // n when it is already covered (or nothing left can serve it).
-    const auto coverageCandidate = [&](ComponentId comp) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (active[i] && caps.chainServes(i, comp))
-                return n;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!active[i] && !crashed[i] && caps.chainServes(i, comp))
-                return i;
-        }
-        return n;
-    };
-    if (as.enabled) {
-        std::size_t start = as.startReplicas == 0 ? as.minReplicas
-                                                  : as.startReplicas;
-        start = std::min(start, n);
-        for (std::size_t i = start; i < n; ++i)
-            active[i] = 0;
-        activeCount = start;
-        // The initial active set must cover every component on a
-        // heterogeneous cluster (same rule the quiesce path enforces
-        // via its coverage guard).
-        for (std::size_t c = 0; c < model.numComponents(); ++c) {
-            const std::size_t i =
-                coverageCandidate(static_cast<ComponentId>(c));
-            if (i < n) {
-                active[i] = 1;
-                activeCount += 1;
-            }
-        }
-    }
-
-    // ----- preemption / live migration state -------------------------
-
-    const bool preemptOn = cfg_.preemption.enabled;
-    const bool migrationOn = preemptOn && cfg_.preemption.migration;
-    std::int64_t migratedGroups = 0, migratedRequests = 0;
-    std::vector<PreemptEvent> pevBuf;
-    // Replica-local preemption decisions (pause / checkpoint / restore)
-    // are part of the replayable schedule: drained into the decision
-    // stream in replica order after every step, so the interleaving is
-    // deterministic.
-    const auto notePreempt = [&](std::size_t i, const PreemptEvent &ev) {
-        DecisionKind kind = DecisionKind::Preempt;
-        if (ev.what == PreemptEvent::What::Checkpoint)
-            kind = DecisionKind::Checkpoint;
-        else if (ev.what == PreemptEvent::What::Restore)
-            kind = DecisionKind::Restore;
-        decisions.note({ev.time, kind, static_cast<std::uint64_t>(i),
-                        static_cast<std::uint64_t>(ev.executor),
-                        ev.count});
-    };
-    const auto drainPreempt = [&](std::size_t i) {
-        if (!preemptOn)
-            return;
-        pevBuf.clear();
-        engines[i]->drainPreemptEvents(pevBuf);
-        for (const PreemptEvent &ev : pevBuf)
-            notePreempt(i, ev);
-    };
-    // Routes completed checkpoint saves out of replica outboxes; bound
-    // below, after the capability filters exist (stepAll needs it).
-    std::function<void(Time)> drainOutboxes;
-
-    // Quiesce-drain latency: virtual time from a quiesce decision to
-    // the replica going fully idle — the metric migration shrinks (no
-    // more waiting out the longest running batch).
-    std::vector<Time> quiesceStart(n, kTimeNever);
-    std::size_t quiescing = 0;
-    std::int64_t quiesceDrains = 0;
-    Time quiesceDrainTotal = 0, quiesceDrainMax = 0;
-    const auto noteQuiesceDrains = [&]() {
-        if (quiescing == 0)
-            return;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (quiesceStart[i] == kTimeNever)
-                continue;
-            if (crashed[i] != 0 || active[i] != 0) {
-                // Died or was re-activated mid-drain: not a completed
-                // quiesce, so it does not enter the drain statistics.
-                quiesceStart[i] = kTimeNever;
-                quiescing -= 1;
-                continue;
-            }
-            if (engines[i]->nextEventTime() != kTimeNever)
-                continue;
-            const Time drain = engines[i]->now() - quiesceStart[i];
-            quiesceDrains += 1;
-            quiesceDrainTotal += drain;
-            quiesceDrainMax = std::max(quiesceDrainMax, drain);
-            quiesceStart[i] = kTimeNever;
-            quiescing -= 1;
-        }
-    };
-
-    std::vector<ReplicaLoadView> live(n);
-    // Snapshots are refreshed lazily: a replica's observable state
-    // only changes when it executes events or accepts a request, so
-    // clean views are reused across arrivals (the clock-only staleness
-    // of `now` is absorbed by the routers' max(arrival.time, ...)). A
-    // refresh costs O(executors + experts): the engine keeps expert
-    // membership incrementally and the view copies its flag array.
-    std::vector<char> dirty(n, 1);
-    const auto refreshViews = [&]() {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dirty[i]) {
-                engines[i]->fillLoadView(live[i]);
-                dirty[i] = 0;
-            }
-            // fillLoadView resets the gate; re-apply the active set.
-            live[i].acceptingWork = active[i] != 0;
-        }
-    };
-
-    const auto stepAll = [&](Time t) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (engines[i]->stepUntil(t) > 0) {
-                dirty[i] = 1;
-                drainPreempt(i);
-            }
-        }
-        if (drainOutboxes)
-            drainOutboxes(t);
-        noteQuiesceDrains();
-    };
-
-    // A thief may only steal requests its context can serve: on a
-    // heterogeneous cluster a replica may never have been profiled
-    // for some architecture, and dispatching such a request there
-    // aborts deep in the scheduler's estimate. Same capability rule
-    // the routers apply (router.h) — and like routing, a stolen
-    // classify request brings its whole chain, so the thief must also
-    // serve the detect child it may spawn. The autoscaler's
-    // quiesce-evacuation and crash re-homing reuse the same filters.
-    std::vector<RequestQueue::StealFilter> canServe(n);
-    if (cfg_.workStealing.enabled || as.enabled || opts.faults.any() ||
-        migrationOn) {
-        for (std::size_t i = 0; i < n; ++i) {
-            canServe[i] = [&model, &caps, i](const Request &req) {
-                if (req.stage == Stage::Classify)
-                    return caps.chainServes(i, req.component);
-                return caps.serves(i, model.expert(req.expert).arch);
-            };
-        }
-    }
-
-    // Does the trace carry SLO metadata at all? Classless traces skip
-    // every SLO code path (admission, at-risk steal pass).
-    bool sloTrace = false;
-    for (const ImageArrival &a : trace.arrivals) {
-        if (sloTracked(a.cls) || a.deadline != kTimeNever) {
-            sloTrace = true;
-            break;
-        }
-    }
-    const AdmissionController admission(cfg_.admission);
-    SloStats coordSlo; // cluster-level admission verdicts
-
-    // Shared-tier steal hint scratch: distinct experts of re-routed
-    // requests (see SharedCpuTier::hintUpcomingLoads).
-    std::vector<ExpertId> lootExperts;
-    const auto hintSharedTier = [&](const std::vector<Request> &loot) {
-        if (sharedCpu == nullptr || loot.empty())
-            return;
-        lootExperts.clear();
-        for (const Request &req : loot)
-            lootExperts.push_back(req.expert);
-        std::sort(lootExperts.begin(), lootExperts.end());
-        lootExperts.erase(
-            std::unique(lootExperts.begin(), lootExperts.end()),
-            lootExperts.end());
-        sharedCpu->hintUpcomingLoads(lootExperts);
-    };
-
-    // Migration target selection, shared by the outbox drain and crash
-    // evacuation: least-backlogged active capable replica of the
-    // image's processor kind (ties: lowest index). A live source with
-    // no target keeps its group (self-migration, recorded so replays
-    // cover the fallback); a dead source's unroutable group is lost —
-    // the caller accounts it. Assumes refreshViews() ran.
-    std::vector<CheckpointImage> outboxBuf, crashImgBuf;
-    const auto routeCheckpoint = [&](std::size_t src,
-                                     CheckpointImage img, Time now) {
-        std::size_t target = n;
-        Time bestLoad = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i == src || !active[i] || crashed[i] ||
-                !engines[i]->hasExecutorKind(img.kind))
-                continue;
-            bool ok = true;
-            for (const Request &req : img.requests)
-                ok = ok && (!canServe[i] || canServe[i](req));
-            if (!ok)
-                continue;
-            const Time load = live[i].backlog;
-            if (target == n || load < bestLoad) {
-                target = i;
-                bestLoad = load;
-            }
-        }
-        const auto cnt =
-            static_cast<std::uint64_t>(img.requests.size());
-        if (target == n) {
-            if (crashed[src]) {
-                // Same out-of-range sentinel the crash route uses.
-                decisions.note({now, DecisionKind::Migrate,
-                                static_cast<std::uint64_t>(src),
-                                static_cast<std::uint64_t>(n), cnt});
-                return false;
-            }
-            target = src;
-        }
-        decisions.note({now, DecisionKind::Migrate,
-                        static_cast<std::uint64_t>(src),
-                        static_cast<std::uint64_t>(target), cnt});
-        if (coordTr != nullptr) {
-            coordTr->instant(
-                "migrate", 0, now,
-                {"from", static_cast<std::int64_t>(src)},
-                {"to", static_cast<std::int64_t>(target)},
-                {"requests", static_cast<std::int64_t>(cnt)});
-        }
-        if (target != src) {
-            migratedGroups += 1;
-            migratedRequests += static_cast<std::int64_t>(cnt);
-            hintSharedTier(img.requests);
-        }
-        engines[target]->adoptCheckpoint(std::move(img));
-        dirty[target] = 1;
-        return true;
-    };
-    if (migrationOn) {
-        drainOutboxes = [&](Time now) {
-            for (std::size_t src = 0; src < n; ++src) {
-                outboxBuf.clear();
-                if (engines[src]->takeMigratedImages(outboxBuf) == 0)
-                    continue;
-                refreshViews();
-                for (CheckpointImage &img : outboxBuf) {
-                    const bool routed =
-                        routeCheckpoint(src, std::move(img), now);
-                    COSERVE_CHECK(routed,
-                                  "outbox image stranded on a crashed "
-                                  "replica");
-                }
-            }
-        };
-    }
-
-    std::vector<std::int64_t> stolenFrom(n, 0), stolenTo(n, 0);
-    std::vector<Request> stealBuf;
-    const auto maybeSteal = [&](Time now) {
-        // An idle replica raids the most backlogged sibling whose
-        // queued-but-unstarted count exceeds the threshold, taking
-        // half the backlog. The victim's *time* backlog must also
-        // dwarf a demand load — a thief almost always pays one switch
-        // for its loot, and stealing a trivial batch trades a ~5 ms/img
-        // backlog for a ~100 ms load. Deterministic: fixed iteration
-        // order on the shared clock.
-        bool anyIdle = false;
-        for (const auto &engine : engines)
-            anyIdle = anyIdle || engine->nextEventTime() == kTimeNever;
-        if (!anyIdle)
-            return; // common case: skip the full view refresh
-        refreshViews();
-        // In-flight stealing: when an idle thief finds no queued loot,
-        // it may still pull the checkpointed tail of a *running* batch
-        // off a sibling that has more queued work stuck behind it. The
-        // pause request is issued here; the image lands in the
-        // sibling's outbox after the (charged) save and is routed by
-        // drainOutboxes to the least-loaded capable replica. The
-        // break-even guard (migrationMinRemaining) and the per-group
-        // preemption budget bound the churn.
-        const auto tryMigrateSteal = [&](std::size_t thief) {
-            if (!migrationOn)
-                return;
-            for (std::size_t j = 0; j < n; ++j) {
-                if (j == thief || crashed[j] ||
-                    live[j].queueDepth == 0 ||
-                    !engines[j]->hasMigratableGroup())
-                    continue;
-                if (engines[j]->requestMigrateOut(1) > 0)
-                    return;
-            }
-        };
-        for (std::size_t thief = 0; thief < n; ++thief) {
-            // A quiesced or crashed replica must not pull new work.
-            if (!live[thief].idle || !active[thief])
-                continue;
-            std::size_t victim = n;
-            std::size_t depth = cfg_.workStealing.backlogThreshold;
-            for (std::size_t j = 0; j < n; ++j) {
-                if (j != thief && live[j].queueDepth > depth &&
-                    live[j].backlog > cfg_.workStealing.minBacklog) {
-                    depth = live[j].queueDepth;
-                    victim = j;
-                }
-            }
-            if (victim == n) {
-                tryMigrateSteal(thief);
-                continue;
-            }
-            stealBuf.clear();
-            const std::size_t want = live[victim].queueDepth / 2;
-            std::size_t got = 0;
-            if (sloTrace) {
-                // Deadline-aware pass first: prefer the loot that
-                // would *violate* if it stayed — requests whose
-                // deadline falls inside the victim's predicted
-                // backlog drain. Only then top up with arbitrary
-                // (servable) tail requests.
-                const Time victimEta =
-                    live[victim].now + live[victim].backlog;
-                const RequestQueue::StealFilter &serve =
-                    canServe[thief];
-                const RequestQueue::StealFilter atRisk =
-                    [&serve, victimEta](const Request &req) {
-                        return req.deadline != kTimeNever &&
-                               req.deadline < victimEta &&
-                               (!serve || serve(req));
-                    };
-                got = engines[victim]->stealRequests(want, stealBuf,
-                                                     atRisk);
-            }
-            if (got < want) {
-                got += engines[victim]->stealRequests(
-                    want - got, stealBuf, canServe[thief]);
-            }
-            if (got == 0) {
-                tryMigrateSteal(thief);
-                continue;
-            }
-            decisions.note({now, DecisionKind::Steal,
-                            static_cast<std::uint64_t>(victim),
-                            static_cast<std::uint64_t>(thief),
-                            static_cast<std::uint64_t>(got)});
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "steal", 0, now,
-                    {"victim", static_cast<std::int64_t>(victim)},
-                    {"thief", static_cast<std::int64_t>(thief)},
-                    {"requests", static_cast<std::int64_t>(got)});
-            }
-            // Keep the thief's upcoming demand loads resident in the
-            // shared DRAM tier (steal-aware admission).
-            hintSharedTier(stealBuf);
-            for (const Request &req : stealBuf)
-                engines[thief]->injectRequest(req);
-            stolenFrom[victim] += static_cast<std::int64_t>(got);
-            stolenTo[thief] += static_cast<std::int64_t>(got);
-            // Only the two parties' state changed.
-            engines[thief]->fillLoadView(live[thief]);
-            engines[victim]->fillLoadView(live[victim]);
-            live[thief].acceptingWork = active[thief] != 0;
-            live[victim].acceptingWork = active[victim] != 0;
-            dirty[thief] = 0;
-            dirty[victim] = 0;
-        }
-    };
-
-    // ----- autoscale control loop ------------------------------------
-
-    std::int64_t lastCompleted = 0, lastViolated = 0;
-    std::int64_t activations = 0, quiesces = 0, evacuated = 0;
-    Time lastScaleAction = -as.cooldown;
-    Time nextControl = as.interval;
-    double activeIntegral = 0.0;
-    Time lastActiveMark = 0;
-    const auto noteActiveChange = [&](Time now) {
-        activeIntegral += static_cast<double>(activeCount) *
-                          static_cast<double>(now - lastActiveMark);
-        lastActiveMark = now;
-    };
-    // Wake quiesced replica @p i: it is built, preloaded and idle, so
-    // activation is instant.
-    const auto activate = [&](std::size_t i, Time now) {
-        noteActiveChange(now);
-        active[i] = 1;
-        activeCount += 1;
-        activations += 1;
-        live[i].acceptingWork = true;
-        decisions.note({now, DecisionKind::ScaleUp,
-                        static_cast<std::uint64_t>(i), 0, 0});
-        if (coordTr != nullptr) {
-            coordTr->instant("scale-up", 0, now,
-                             {"replica", static_cast<std::int64_t>(i)});
-        }
-    };
-
-    // Quiescing must never leave a component unservable: on a
-    // heterogeneous cluster the candidate may be the last active
-    // replica capable of some chain.
-    const auto activeSetCovers = [&](std::size_t excluding) {
-        for (std::size_t c = 0; c < model.numComponents(); ++c) {
-            bool covered = false;
-            for (std::size_t i = 0; i < n && !covered; ++i) {
-                covered = i != excluding && active[i] &&
-                          caps.chainServes(i,
-                                           static_cast<ComponentId>(c));
-            }
-            if (!covered)
-                return false;
-        }
-        return true;
-    };
-
-    // Drain a quiescing replica through the steal machinery: its
-    // queued-but-unstarted requests re-route to active siblings in
-    // small round-robin chunks (no sibling swallows the whole drain),
-    // each sibling filtering by its own capability. Queue heads stay
-    // behind by design (stealFromTail) and simply finish where they
-    // are — quiesce is a drain, not a kill.
-    std::vector<Request> evacBuf;
-    const auto evacuate = [&](std::size_t q, Time now) {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (std::size_t t = 0; t < n; ++t) {
-                if (!active[t] || t == q)
-                    continue;
-                evacBuf.clear();
-                const std::size_t got =
-                    engines[q]->stealRequests(4, evacBuf, canServe[t]);
-                if (got == 0)
-                    continue;
-                decisions.note({now, DecisionKind::Evacuate,
-                                static_cast<std::uint64_t>(q),
-                                static_cast<std::uint64_t>(t),
-                                static_cast<std::uint64_t>(got)});
-                if (coordTr != nullptr) {
-                    coordTr->instant(
-                        "evacuate", 0, now,
-                        {"from", static_cast<std::int64_t>(q)},
-                        {"to", static_cast<std::int64_t>(t)},
-                        {"requests", static_cast<std::int64_t>(got)});
-                }
-                hintSharedTier(evacBuf);
-                for (const Request &req : evacBuf)
-                    engines[t]->injectRequest(req);
-                evacuated += static_cast<std::int64_t>(got);
-                dirty[t] = 1;
-                progress = true;
-            }
-        }
-        // With migration on, the drain takes the *running* batches
-        // too: each pauses at its next step boundary, checkpoints and
-        // migrates to an active sibling — quiesce no longer waits out
-        // the longest batch. (Queue heads and short tails below the
-        // break-even guard still finish in place.)
-        if (migrationOn) {
-            engines[q]->requestMigrateOut(
-                std::numeric_limits<std::size_t>::max());
-        }
-        dirty[q] = 1;
-    };
-
-    const auto runControl = [&](Time now) {
-        // Window signals: SLO violation rate and queued backlog per
-        // active replica since the previous control tick.
-        std::int64_t completed = 0, violated = 0;
-        for (const auto &engine : engines) {
-            completed += engine->sloStats().completed();
-            violated += engine->sloStats().violated();
-        }
-        const std::int64_t dc = completed - lastCompleted;
-        const std::int64_t dv = violated - lastViolated;
-        lastCompleted = completed;
-        lastViolated = violated;
-        const double violRate =
-            dc > 0 ? static_cast<double>(dv) / static_cast<double>(dc)
-                   : 0.0;
-        refreshViews();
-        std::size_t backlog = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            backlog += live[i].queueDepth;
-        const double perActive =
-            static_cast<double>(backlog) /
-            static_cast<double>(activeCount > 0 ? activeCount : 1);
-
-        // Scale up fast, down slow (the classic asymmetry): only
-        // quiesces respect the cooldown — underprovision costs
-        // violations immediately, overprovision only efficiency.
-        if ((violRate > as.violationHigh ||
-             perActive > static_cast<double>(as.backlogHigh)) &&
-            activeCount < n - crashedCount) {
-            // Scale up: wake the lowest-index quiesced replica.
-            // Crashed replicas never come back.
-            for (std::size_t i = 0; i < n; ++i) {
-                if (active[i] || crashed[i])
-                    continue;
-                activate(i, now);
-                lastScaleAction = now;
-                break;
-            }
-        } else if (violRate < as.violationLow &&
-                   perActive <= static_cast<double>(as.backlogLow) &&
-                   activeCount > as.minReplicas &&
-                   now - lastScaleAction >= as.cooldown) {
-            // Scale down: quiesce the active replica with the least
-            // queued work (ties: highest index, so replica 0 is the
-            // stable core), provided coverage survives.
-            std::size_t q = n;
-            std::size_t qDepth = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (active[i] &&
-                    (q == n || live[i].queueDepth <= qDepth)) {
-                    q = i;
-                    qDepth = live[i].queueDepth;
-                }
-            }
-            if (q == n || !activeSetCovers(q))
-                return;
-            noteActiveChange(now);
-            active[q] = 0;
-            activeCount -= 1;
-            quiesces += 1;
-            lastScaleAction = now;
-            live[q].acceptingWork = false;
-            decisions.note({now, DecisionKind::Quiesce,
-                            static_cast<std::uint64_t>(q), 0, 0});
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "quiesce", 0, now,
-                    {"replica", static_cast<std::int64_t>(q)});
-            }
-            evacuate(q, now);
-            if (quiesceStart[q] == kTimeNever) {
-                quiesceStart[q] = now;
-                quiescing += 1;
-            }
-        }
-    };
-
-    // ----- fault application -----------------------------------------
-
-    std::vector<Request> drainBuf;
-    std::vector<std::int64_t> rehomeCnt(n, 0);
-    const auto applyFault = [&](const FaultAction &f) {
-        switch (f.kind) {
-        case DecisionKind::Crash: {
-            const std::size_t r = f.replica;
-            COSERVE_CHECK(!crashed[r], "replica crashed twice");
-            if (active[r]) {
-                if (as.enabled)
-                    noteActiveChange(f.time);
-                active[r] = 0;
-                activeCount -= 1;
-            }
-            crashed[r] = 1;
-            crashedCount += 1;
-            crashes += 1;
-            live[r].acceptingWork = false;
-            // With autoscale on, the dead replica may have been the
-            // last active one able to serve some component (or the
-            // last active one at all): wake quiesced survivors to
-            // restore coverage before anything is re-homed.
-            if (as.enabled) {
-                for (std::size_t c = 0; c < model.numComponents(); ++c) {
-                    const std::size_t i =
-                        coverageCandidate(static_cast<ComponentId>(c));
-                    if (i < n)
-                        activate(i, f.time);
-                }
-            }
-            // Lossless recovery of in-flight work: capture every
-            // running batch at its last *completed* step boundary
-            // (plus parked and outbox images — the periodic boundary
-            // save is what survives a crash) and migrate the
-            // checkpoints to capable survivors, which resume the
-            // groups instead of re-running them from scratch. Work
-            // since the last boundary is honestly re-executed.
-            std::int64_t lostCkpt = 0;
-            if (migrationOn) {
-                crashImgBuf.clear();
-                engines[r]->captureCheckpoints(crashImgBuf);
-                drainPreempt(r); // the capture's Checkpoint records
-                refreshViews();
-                for (CheckpointImage &img : crashImgBuf) {
-                    const auto cnt = static_cast<std::int64_t>(
-                        img.requests.size());
-                    if (!routeCheckpoint(r, std::move(img), f.time))
-                        lostCkpt += cnt;
-                }
-            }
-            // Drain queued + in-flight work off the dead replica and
-            // re-home it round-robin onto active capable siblings
-            // (each filtered by its own capability, like evacuation).
-            // Work no survivor can serve is lost — and accounted.
-            drainBuf.clear();
-            engines[r]->crashDrain(drainBuf);
-            dirty[r] = 1;
-            hintSharedTier(drainBuf);
-            std::fill(rehomeCnt.begin(), rehomeCnt.end(), 0);
-            std::int64_t lostHere = 0;
-            std::size_t cursor = (r + 1) % n;
-            for (const Request &req : drainBuf) {
-                std::size_t target = n;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const std::size_t i = (cursor + j) % n;
-                    if (i == r || !active[i])
-                        continue;
-                    if (canServe[i] && !canServe[i](req))
-                        continue;
-                    target = i;
-                    break;
-                }
-                if (target == n) {
-                    lostHere += 1;
-                    continue;
-                }
-                cursor = (target + 1) % n;
-                engines[target]->injectRequest(req);
-                rehomeCnt[target] += 1;
-                dirty[target] = 1;
-            }
-            const std::int64_t rehomedHere =
-                static_cast<std::int64_t>(drainBuf.size()) - lostHere;
-            rehomed += rehomedHere;
-            // One request per image is in flight at a time, so every
-            // lost request is exactly one lost image.
-            lostHere += lostCkpt;
-            lostImages += lostHere;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "crash", 0, f.time,
-                    {"replica", static_cast<std::int64_t>(r)},
-                    {"rehomed", rehomedHere}, {"lost", lostHere});
-            }
-            decisions.note({f.time, DecisionKind::Crash,
-                            static_cast<std::uint64_t>(r),
-                            static_cast<std::uint64_t>(rehomedHere),
-                            static_cast<std::uint64_t>(lostHere)});
-            for (std::size_t i = 0; i < n; ++i) {
-                if (rehomeCnt[i] > 0) {
-                    decisions.note(
-                        {f.time, DecisionKind::Evacuate,
-                         static_cast<std::uint64_t>(r),
-                         static_cast<std::uint64_t>(i),
-                         static_cast<std::uint64_t>(rehomeCnt[i])});
-                }
-            }
-            break;
-        }
-        case DecisionKind::StragglerOn:
-            engines[f.replica]->setComputeScale(f.factor);
-            stragglers += 1;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "straggler on", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::StragglerOn,
-                            static_cast<std::uint64_t>(f.replica),
-                            ppm(f.factor), 0});
-            break;
-        case DecisionKind::StragglerOff:
-            engines[f.replica]->setComputeScale(1.0);
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "straggler off", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::StragglerOff,
-                            static_cast<std::uint64_t>(f.replica), 0,
-                            0});
-            break;
-        case DecisionKind::BrownoutOn:
-            engines[f.replica]->setStorageRateScale(f.factor);
-            brownouts += 1;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "brownout on", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::BrownoutOn,
-                            static_cast<std::uint64_t>(f.replica),
-                            ppm(f.factor), 0});
-            break;
-        case DecisionKind::BrownoutOff:
-            engines[f.replica]->setStorageRateScale(1.0);
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "brownout off", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::BrownoutOff,
-                            static_cast<std::uint64_t>(f.replica), 0,
-                            0});
-            break;
-        default:
-            panic("unexpected fault action kind");
-        }
-    };
-
-    // ----- epoch sampler ---------------------------------------------
-    //
-    // A sample observes the quiescent DES state between coordinator
-    // steps WITHOUT stepping any engine: an extra stepAll() cut point
-    // would reorder the preempt/outbox/quiesce drains relative to an
-    // unsampled run and drift the decision digest. Pure observation
-    // keeps telemetry on/off byte-identical.
-    const auto recordEpochSample = [&](Time t) {
-        obs::SampleRow row;
-        row.t = t;
-        row.activeReplicas = static_cast<int>(activeCount);
-        std::int64_t gpuHits = 0, gpuMisses = 0;
-        std::int64_t cpuHits = 0, cpuMisses = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (crashed[i])
-                continue;
-            // queuedRequestCount() + sampleHitCounters(), not
-            // fillLoadView() + appendTierStats(): a load view copies
-            // per-executor loads and the expert membership flags the
-            // sample never reads, and TierStats rows copy tier name
-            // strings on every call — work the <5% tracing overhead
-            // budget has no room for.
-            row.queueDepth += engines[i]->queuedRequestCount();
-            engines[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
-                                          cpuMisses);
-        }
-        if (sharedCpu != nullptr) {
-            const TierStats shared = sharedCpu->stats();
-            cpuHits += shared.counters.hits;
-            cpuMisses += shared.counters.misses;
-        }
-        if (gpuHits + gpuMisses > 0) {
-            row.gpuHitRate =
-                static_cast<double>(gpuHits) /
-                static_cast<double>(gpuHits + gpuMisses);
-        }
-        if (cpuHits + cpuMisses > 0) {
-            row.cpuHitRate =
-                static_cast<double>(cpuHits) /
-                static_cast<double>(cpuHits + cpuMisses);
-        }
-        // Progress counts every engine, crashed ones included: their
-        // pre-crash work stays in the run's totals.
-        for (const auto &engine : engines) {
-            engine->sampleProgress(row.images, row.inferences,
-                                   row.preemptions);
-        }
-        if (t > 0) {
-            row.goodputImgPerSec =
-                static_cast<double>(row.images) / toSeconds(t);
-        }
-        telem.recordSample(row);
-    };
-
-    // Where arrival @p idx goes, given the replica @p r it was routed
-    // (or pinned) to. Offline-fallback routers (round-robin) ignore
-    // the acceptingWork gate, and a pinned static assignment may point
-    // at a replica that crashed since routing: re-home onto the next
-    // active capable replica. If none exists (possible only on a
-    // pathological heterogeneous config), serve on the quiesced pick
-    // rather than lose the image — unless it crashed, in which case
-    // the image is genuinely lost and recorded with the out-of-range
-    // sentinel replica `n`, so replays still cover it. @return the
-    // serving replica, or n when the image is lost.
-    const auto placeArrival = [&](const ImageArrival &a,
-                                  std::uint64_t idx, std::size_t r) {
-        if (!active[r]) {
-            for (std::size_t j = 0; j < n; ++j) {
-                const std::size_t i = (r + j) % n;
-                if (active[i] && caps.chainServes(i, a.component)) {
-                    r = i;
-                    break;
-                }
-            }
-        }
-        if (crashed[r]) {
-            lostImages += 1;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "route (lost)", 0, a.time,
-                    {"image", static_cast<std::int64_t>(idx)});
-            }
-            decisions.note({a.time, DecisionKind::Route, idx,
-                            static_cast<std::uint64_t>(n), 0});
-            return n;
-        }
-        decisions.note({a.time, DecisionKind::Route, idx,
-                        static_cast<std::uint64_t>(r), 0});
-        if (coordTr != nullptr) {
-            coordTr->instant("route", 0, a.time,
-                             {"image", static_cast<std::int64_t>(idx)},
-                             {"replica", static_cast<std::int64_t>(r)});
-        }
-        return r;
-    };
-
-    COSERVE_CHECK(std::is_sorted(trace.arrivals.begin(),
-                                 trace.arrivals.end(),
-                                 [](const ImageArrival &x,
-                                    const ImageArrival &y) {
-                                     return x.time < y.time;
-                                 }),
-                  "cluster runs need time-sorted arrivals");
-    std::size_t next = 0;
-
-    // ----- independent replicas --------------------------------------
-    //
-    // With routing pinned, no shared CPU tier, no migration and no
-    // fault plan, nothing couples the replicas, so an arrival is not a
-    // coordinator decision. The first segment admits every arrival
-    // onto its pinned replica; each segment then steps every replica
-    // on its own thread to just before the next sampler tick (to idle
-    // when none is due), and the loop's sample branch records the
-    // tick. A clean static run without a sampler is a single segment.
-    // Preemption records are noted after the join merged by (time,
-    // replica), so the decision stream is the same wherever the ticks
-    // cut it: sampling stays pure observation. Fault actions do couple
-    // the replicas (a crash re-homes pinned arrivals, and events at
-    // the fault time must run before it), so fault runs take the
-    // lockstep loop.
-    const bool independent = !liveRouting && sharedCpu == nullptr &&
-                             !migrationOn && faults.empty();
-    std::vector<std::pair<PreemptEvent, std::size_t>> segmentPreempts;
-    const auto runSegment = [&]() {
-        // Nothing crashes here, so placeArrival keeps the pinned
-        // replica; it notes the Route records.
-        const std::size_t from = next;
-        for (; next < trace.arrivals.size(); ++next) {
-            assignment[next] =
-                placeArrival(trace.arrivals[next], next, assignment[next]);
-        }
-        const Time cut = telem.nextSampleTime();
-        // Stepping to kTimeNever runs to idle (the clock stays at the
-        // replica's last event).
-        const Time until = cut == kTimeNever ? kTimeNever : cut - 1;
-        std::vector<std::thread> threads;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (from == next && engines[i]->nextEventTime() > until)
-                continue;
-            threads.emplace_back([&, i, from, to = next]() {
-                for (std::size_t idx = from; idx < to; ++idx) {
-                    if (assignment[idx] == i)
-                        engines[i]->admitArrival(trace.arrivals[idx]);
-                }
-                engines[i]->stepUntil(until);
-            });
-        }
-        for (std::thread &t : threads)
-            t.join();
-        if (!preemptOn)
-            return;
-        segmentPreempts.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            pevBuf.clear();
-            engines[i]->drainPreemptEvents(pevBuf);
-            for (const PreemptEvent &ev : pevBuf)
-                segmentPreempts.emplace_back(ev, i);
-        }
-        // Stable: a replica's same-time records keep their own order.
-        std::stable_sort(segmentPreempts.begin(), segmentPreempts.end(),
-                         [](const auto &x, const auto &y) {
-                             return x.first.time < y.first.time;
-                         });
-        for (const auto &[ev, i] : segmentPreempts)
-            notePreempt(i, ev);
-    };
-
-    // Lockstep coordination on the shared virtual clock: the next
-    // thing that happens cluster-wide is the earliest of the next
-    // pending replica event, the next arrival, the next fault action,
-    // and (autoscale only) the next control tick — fault actions win
-    // all ties (a crash at t kills same-time work), control ticks win
-    // ties against arrivals so same-time arrivals see the post-scale
-    // active set, and arrivals win ties against events so routing sees
-    // state as of the arrival instant. Everything is driven by virtual
-    // time, so the schedule is reproducible by construction. Fault
-    // actions scheduled after the last arrival and event are never
-    // applied (there is nothing left for them to affect). Independent
-    // replicas reach the sample branch only, one segment at a time.
-    const WallTimer coordWall;
-    for (;;) {
-        if (independent)
-            runSegment();
-        const Time tArr = next < trace.arrivals.size()
-                              ? trace.arrivals[next].time
-                              : kTimeNever;
-        Time tEv = kTimeNever;
-        for (const auto &engine : engines)
-            tEv = std::min(tEv, engine->nextEventTime());
-        if (tArr == kTimeNever && tEv == kTimeNever)
-            break;
-
-        const Time tFault = nextFault < faults.size()
-                                ? faults[nextFault].time
-                                : kTimeNever;
-        const Time tCtl = as.enabled ? nextControl : kTimeNever;
-
-        // Sampler rows are due before anything else happens; they
-        // never step, decide or mutate, so firing them first cannot
-        // perturb the schedule below.
-        const Time tSample = telem.nextSampleTime();
-        if (tSample != kTimeNever &&
-            tSample <= std::min({tArr, tEv, tFault, tCtl})) {
-            recordEpochSample(tSample);
-            continue;
-        }
-
-        if (tFault != kTimeNever &&
-            tFault <= std::min({tArr, tEv, tCtl})) {
-            stepAll(tFault);
-            applyFault(faults[nextFault]);
-            ++nextFault;
-            continue;
-        }
-
-        if (as.enabled && nextControl <= std::min(tArr, tEv)) {
-            stepAll(nextControl);
-            runControl(nextControl);
-            nextControl += as.interval;
-            continue;
-        }
-
-        if (tArr <= tEv) {
-            // No replica event strictly precedes the arrival: advance
-            // every clock to the arrival instant and route it with
-            // live views (skipping the snapshot work for policies
-            // whose routeLive falls back to the offline route()).
-            stepAll(tArr);
-            ImageArrival a = trace.arrivals[next];
-            const auto idx = static_cast<std::uint64_t>(next);
-            ++next;
-
-            // Cluster-level admission: can *any* active capable
-            // replica make this deadline? Predicted from the live
-            // views with the same Section-4.2 estimate the routers
-            // use, upstream of routing.
-            if (liveRouting && cfg_.admission.enabled &&
-                a.deadline != kTimeNever) {
-                refreshViews();
-                Time best = kTimeNever;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (!active[i] || !caps.chainServes(i, a.component))
-                        continue;
-                    best = std::min(
-                        best, predictReplicaCompletion(
-                                  views[i], caps.estimateProc(i),
-                                  live[i], model, a));
-                }
-                const AdmissionVerdict verdict = admission.assess(
-                    a.cls, a.time, a.deadline, best);
-                if (verdict == AdmissionVerdict::Reject) {
-                    coordSlo.recordRejected(a.cls);
-                    if (coordTr != nullptr) {
-                        coordTr->instant(
-                            "admission reject", 0, a.time,
-                            {"image",
-                             static_cast<std::int64_t>(idx)});
-                    }
-                    decisions.note(
-                        {a.time, DecisionKind::Reject, idx,
-                         static_cast<std::uint64_t>(a.cls), 0});
-                    continue;
-                }
-                if (verdict == AdmissionVerdict::Downgrade) {
-                    // Scheduling class drops; the deadline stays for
-                    // violation accounting (see ServingEngine's
-                    // admitTimed).
-                    coordSlo.recordDowngraded(a.cls);
-                    if (coordTr != nullptr) {
-                        coordTr->instant(
-                            "admission downgrade", 0, a.time,
-                            {"image",
-                             static_cast<std::int64_t>(idx)});
-                    }
-                    decisions.note(
-                        {a.time, DecisionKind::Downgrade, idx,
-                         static_cast<std::uint64_t>(a.cls), 0});
-                    a.cls = RequestClass::BestEffort;
-                }
-            }
-
-            std::size_t r;
-            if (liveRouting) {
-                if (router->usesLiveViews())
-                    refreshViews();
-                r = router->routeLive(a, live);
-                COSERVE_CHECK(r < n, "router returned replica ", r);
-            } else {
-                r = assignment[idx];
-            }
-            r = placeArrival(a, idx, r);
-            if (r == n)
-                continue;
-            engines[r]->admitArrival(a);
-            // Execute the admission's dispatch now, so a same-time
-            // burst of arrivals sees each predecessor in the queues
-            // rather than racing into one replica.
-            engines[r]->stepUntil(tArr);
-            dirty[r] = 1;
-            drainPreempt(r);
-        } else {
-            // Replica events precede the next arrival: execute the
-            // earliest round everywhere, then let idle replicas steal.
-            stepAll(tEv);
-            if (cfg_.workStealing.enabled)
-                maybeSteal(tEv);
-        }
-    }
-
-    telem.host().add("coordinate", coordWall.elapsedMicros());
-    const WallTimer collectWall;
-    std::vector<RunResult> results(n);
-    std::int64_t images = 0;
-    std::int64_t rejected = coordSlo.rejected();
-    for (std::size_t i = 0; i < n; ++i) {
-        rejected += engines[i]->rejectedImages();
-        results[i] = engines[i]->finishOnline();
-        images += results[i].images;
-    }
-    // Every arrival either completed somewhere, was rejected by
-    // admission (at the coordinator or at a replica), or was lost to
-    // an injected crash with no capable survivor.
-    COSERVE_CHECK(images + rejected + lostImages ==
-                      static_cast<std::int64_t>(trace.arrivals.size()),
-                  "lost images: ", images, " done + ", rejected,
-                  " rejected + ", lostImages, " crash-lost of ",
-                  trace.arrivals.size());
-
-    ClusterResult out = aggregateClusterResult(
-        cfg_.label, toString(cfg_.routing), std::move(results));
-    out.wallSeconds = wall.elapsedSeconds();
-    out.stolenFromReplica = std::move(stolenFrom);
-    out.stolenToReplica = std::move(stolenTo);
-    for (std::int64_t s : out.stolenFromReplica)
-        out.stolenRequests += s;
-    out.workStealingEnabled = cfg_.workStealing.enabled;
-    out.slo.merge(coordSlo);
-    if (as.enabled) {
-        out.autoscaleEnabled = true;
-        out.autoscaleActivations = activations;
-        out.autoscaleQuiesces = quiesces;
-        out.autoscaleEvacuated = evacuated;
-        out.quiesceDrains = quiesceDrains;
-        out.quiesceDrainTotal = quiesceDrainTotal;
-        out.quiesceDrainMax = quiesceDrainMax;
-        if (out.makespan > lastActiveMark) {
-            activeIntegral += static_cast<double>(activeCount) *
-                              static_cast<double>(out.makespan -
-                                                  lastActiveMark);
-        }
-        if (out.makespan > 0) {
-            out.avgActiveReplicas =
-                activeIntegral / static_cast<double>(out.makespan);
-        }
-    }
-    if (preemptOn) {
-        out.preemptionEnabled = true;
-        out.migratedGroups = migratedGroups;
-        out.migratedRequests = migratedRequests;
-    }
-    if (opts.faults.any()) {
-        out.faultsInjected = true;
-        out.crashesInjected = crashes;
-        out.crashRehomed = rehomed;
-        out.crashLost = lostImages;
-        out.stragglersInjected = stragglers;
-        out.brownoutsInjected = brownouts;
-    }
-    appendSharedTierStats(out, sharedCpu.get());
-
-    // The coordinator's own counters go into the registry once, from
-    // the tallies above (zero where a feature was off).
-    obs::MetricsRegistry &reg = telem.registry();
-    const auto count = [&reg](const char *name, std::int64_t v) {
-        reg.counter(name).add(v);
-    };
-    count("cluster.stolen_requests", out.stolenRequests);
-    count("cluster.migrated_groups", migratedGroups);
-    count("cluster.migrated_requests", migratedRequests);
-    count("cluster.autoscale_activations", activations);
-    count("cluster.autoscale_quiesces", quiesces);
-    count("cluster.autoscale_evacuated", evacuated);
-    count("cluster.quiesce_drains", quiesceDrains);
-    count("cluster.rejected", coordSlo.rejected());
-    count("cluster.downgraded", coordSlo.downgraded());
-    count("cluster.crashes", crashes);
-    count("cluster.crash_rehomed", rehomed);
-    count("cluster.crash_lost", lostImages);
-    count("cluster.stragglers", stragglers);
-    count("cluster.brownouts", brownouts);
-    telem.host().add("collect", collectWall.elapsedMicros());
     return out;
 }
 

@@ -41,7 +41,6 @@
 #ifndef COSERVE_CLUSTER_CLUSTER_H
 #define COSERVE_CLUSTER_CLUSTER_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,8 +53,6 @@
 #include "workload/trace.h"
 
 namespace coserve {
-
-class DecisionTrace;
 
 /**
  * Elastic-autoscaler knobs (online mode only). The coordinator runs a
@@ -152,7 +149,7 @@ struct ReplicaSpec
 /** Execution mode of one cluster run. */
 enum class RunMode
 {
-    /** Follow ClusterConfig::onlineRouting (the legacy switch). */
+    /** Follow ClusterConfig::onlineRouting. */
     Auto,
     /** Pin every arrival to its offline route (no live decisions). */
     Static,
@@ -295,31 +292,6 @@ class ClusterEngine
     ClusterResult run(const Trace &trace, const RunOptions &opts);
 
   private:
-    /**
-     * The coordinator: live routing in online mode; in static mode
-     * routing pinned to the offline assignment, no stealing, admission
-     * or autoscale, and independent replicas stepped on threads.
-     */
-    ClusterResult runCoordinated(const Trace &trace,
-                                 const RunOptions &opts,
-                                 bool liveRouting,
-                                 DecisionTrace &decisions,
-                                 obs::Telemetry &telem);
-    /** Build the shared CPU tier when configured (else null). */
-    std::unique_ptr<SharedCpuTier> makeSharedCpuTier() const;
-    /** One router-facing view per replica, in replica order. */
-    std::vector<ReplicaView> makeReplicaViews() const;
-    /**
-     * Build replica @p i's engine (label suffixed, shared CPU tier
-     * and span-trace buffer attached when present).
-     */
-    std::unique_ptr<ServingEngine>
-    makeReplicaEngine(std::size_t i, SharedCpuTier *sharedCpu,
-                      obs::Telemetry &telem) const;
-    /** Fold shared-tier counters into @p out once, cluster-level. */
-    static void appendSharedTierStats(ClusterResult &out,
-                                      const SharedCpuTier *tier);
-
     ClusterConfig cfg_;
     bool ran_ = false;
 };

@@ -42,14 +42,10 @@ mergeTierStats(std::vector<TierStats> &tiers, const TierStats &t)
     tiers.push_back(t);
 }
 
-ClusterResult
-aggregateClusterResult(std::string label, std::string routing,
+void
+aggregateClusterResult(ClusterResult &out,
                        std::vector<RunResult> replicas)
 {
-    ClusterResult out;
-    out.label = std::move(label);
-    out.routing = std::move(routing);
-
     for (const RunResult &r : replicas) {
         out.images += r.images;
         out.inferences += r.inferences;
@@ -72,7 +68,6 @@ aggregateClusterResult(std::string label, std::string routing,
                                toSeconds(out.makespan)
                          : 0.0;
     out.replicas = std::move(replicas);
-    return out;
 }
 
 } // namespace coserve

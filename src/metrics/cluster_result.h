@@ -50,6 +50,12 @@ struct ClusterResult
      * classless traces.
      */
     SloStats slo;
+    /**
+     * The cluster-level admission verdicts alone (also merged into
+     * slo): what the coordinator rejected or downgraded before any
+     * replica saw the arrival.
+     */
+    SloStats clusterAdmission;
 
     /**
      * Per-tier counters of the cluster's memory hierarchy: replica
@@ -151,7 +157,11 @@ struct ClusterResult
     std::int64_t crashesInjected = 0;
     /** Requests drained off crashed replicas and re-homed. */
     std::int64_t crashRehomed = 0;
-    /** Drained requests no surviving replica could serve. */
+    /**
+     * Images lost to crashes: drained or checkpointed requests no
+     * survivor could serve, and arrivals pinned to a crashed replica
+     * with no capable survivor.
+     */
     std::int64_t crashLost = 0;
     /** Straggler slowdown windows applied. */
     std::int64_t stragglersInjected = 0;
@@ -168,9 +178,8 @@ struct ClusterResult
     /**
      * Frozen metrics-registry snapshot (obs/metrics.h): this result's
      * counters and derived gauges under their export names, filled
-     * once at collection (exportClusterMetrics plus, on coordinator
-     * runs, the coordinator's tallies), and the host profile. A view
-     * for exporters; the fields above are the source.
+     * once at collection (exportClusterMetrics), and the host
+     * profile. A view for exporters; the fields above are the source.
      */
     obs::MetricsSnapshot metrics;
 
@@ -183,14 +192,14 @@ struct ClusterResult
 };
 
 /**
- * Merge @p replicas into cluster-wide metrics. Replica makespans are
- * absolute times on the shared cluster clock (arrivals keep their
- * trace times on every replica), so the cluster makespan is their
- * maximum.
+ * Merge @p replicas into the cluster-wide metrics of @p out, whose
+ * other fields (label, coordinator tallies) are left as they are.
+ * Replica makespans are absolute times on the shared cluster clock
+ * (arrivals keep their trace times on every replica), so the cluster
+ * makespan is their maximum.
  */
-ClusterResult aggregateClusterResult(std::string label,
-                                     std::string routing,
-                                     std::vector<RunResult> replicas);
+void aggregateClusterResult(ClusterResult &out,
+                            std::vector<RunResult> replicas);
 
 /**
  * Merge one tier snapshot into a cluster-wide list: same-name entries

@@ -16,8 +16,7 @@ void
 appendSloLines(std::ostringstream &os, const SloStats &slo,
                Time makespan)
 {
-    // Gated on activity: classless runs print nothing here, keeping
-    // pre-SLO output byte-identical.
+    // Gated on activity: classless runs print no SLO lines.
     if (!slo.any())
         return;
     os << "  SLO goodput " << formatDouble(slo.goodput(makespan), 1)
@@ -105,7 +104,7 @@ summarize(const ClusterResult &r)
            << " active replicas\n";
     }
     // Gated on the preemption flag like the steal/autoscale sections:
-    // legacy (preemption-off) reports stay byte-identical.
+    // runs without preemption print no preemption lines.
     if (r.preemptionEnabled) {
         os << "  preemption: " << r.preemptions << " deadline rescues, "
            << r.checkpointedGroups << " groups checkpointed / "
@@ -124,7 +123,7 @@ summarize(const ClusterResult &r)
         }
     }
     // Like the steal/autoscale sections: gated on fault activity, so
-    // clean runs keep their pre-fault-injection output byte-identical.
+    // clean runs print no fault line.
     if (r.faultsInjected) {
         os << "  faults: " << r.crashesInjected << " crash"
            << (r.crashesInjected == 1 ? "" : "es") << " ("
@@ -222,6 +221,20 @@ exportClusterMetrics(const ClusterResult &r,
     count("preempt.checkpointed_groups", r.checkpointedGroups);
     count("preempt.restored_groups", r.restoredGroups);
     count("preempt.checkpoint_bytes", r.checkpointBytes);
+    count("cluster.stolen_requests", r.stolenRequests);
+    count("cluster.migrated_groups", r.migratedGroups);
+    count("cluster.migrated_requests", r.migratedRequests);
+    count("cluster.autoscale_activations", r.autoscaleActivations);
+    count("cluster.autoscale_quiesces", r.autoscaleQuiesces);
+    count("cluster.autoscale_evacuated", r.autoscaleEvacuated);
+    count("cluster.quiesce_drains", r.quiesceDrains);
+    count("cluster.rejected", r.clusterAdmission.rejected());
+    count("cluster.downgraded", r.clusterAdmission.downgraded());
+    count("cluster.crashes", r.crashesInjected);
+    count("cluster.crash_rehomed", r.crashRehomed);
+    count("cluster.crash_lost", r.crashLost);
+    count("cluster.stragglers", r.stragglersInjected);
+    count("cluster.brownouts", r.brownoutsInjected);
     setGauge("cluster.throughput", r.throughput);
     setGauge("cluster.makespan_ns", static_cast<double>(r.makespan));
     setGauge("cluster.imbalance", r.imbalance());

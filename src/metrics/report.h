@@ -49,11 +49,11 @@ void printComparison(const std::vector<RunResult> &results);
 
 /**
  * Export @p result into @p registry: the engine-family counters
- * (cluster.images / .inferences, switch.*, preempt.*) and the derived
- * gauges (throughput, makespan, SLO aggregates and per-class
+ * (cluster.images / .inferences, switch.*, preempt.*), the
+ * coordinator-family counters (steals, migrations, autoscale,
+ * cluster admission, faults; zero where a feature was off) and the
+ * derived gauges (throughput, makespan, SLO aggregates and per-class
  * quantiles, per-tier counters, autoscale / quiesce-drain values).
- * The coordinator-family counters are written by the coordinator
- * itself, on every run (zero where a feature was off).
  */
 void exportClusterMetrics(const ClusterResult &result,
                           obs::MetricsRegistry &registry);

@@ -118,7 +118,7 @@ struct RunResult
     /**
      * Per-class SLO accounting (admission verdicts, deadline hits /
      * violations, latency sketches). Empty — and unprinted — for
-     * classless traces, which keep pre-SLO output byte-identical.
+     * classless traces.
      */
     SloStats slo;
 

@@ -274,8 +274,10 @@ TEST(ClusterResultTest, AggregationMath)
     b.switches.loadsFromCache = 3;
     b.requestLatencyMs.add(2.0);
 
-    const ClusterResult r = aggregateClusterResult(
-        "agg-test", "round-robin", {a, b});
+    ClusterResult r;
+    r.label = "agg-test";
+    r.routing = "round-robin";
+    aggregateClusterResult(r, {a, b});
 
     EXPECT_EQ(r.label, "agg-test");
     EXPECT_EQ(r.routing, "round-robin");
@@ -295,8 +297,8 @@ TEST(ClusterResultTest, AggregationMath)
 
 TEST(ClusterResultTest, EmptyClusterIsWellDefined)
 {
-    const ClusterResult r =
-        aggregateClusterResult("empty", "round-robin", {});
+    ClusterResult r;
+    aggregateClusterResult(r, {});
     EXPECT_EQ(r.images, 0);
     EXPECT_EQ(r.makespan, 0);
     EXPECT_DOUBLE_EQ(r.throughput, 0.0);
