@@ -207,32 +207,30 @@ struct InstantShape
 {
     /** Instant name; null when the kind emits no instant. */
     const char *name;
-    /** Name when the decision lost its image (null: none). */
-    const char *lostName;
     /** Argument keys of payloads a, b, c; a null key ends the list. */
     const char *keys[3];
 };
 
 /** One row per DecisionKind, in enum order. */
 constexpr InstantShape kInstants[] = {
-    {"route", "route (lost)", {"image", "replica", nullptr}},
-    {"admission reject", nullptr, {"image", nullptr, nullptr}},
-    {"admission downgrade", nullptr, {"image", nullptr, nullptr}},
-    {"steal", nullptr, {"victim", "thief", "requests"}},
-    {"scale-up", nullptr, {"replica", nullptr, nullptr}},
-    {"quiesce", nullptr, {"replica", nullptr, nullptr}},
-    {"evacuate", nullptr, {"from", "to", "requests"}},
-    {"crash", nullptr, {"replica", "rehomed", "lost"}},
-    {"straggler on", nullptr, {"replica", nullptr, nullptr}},
-    {"straggler off", nullptr, {"replica", nullptr, nullptr}},
-    {"brownout on", nullptr, {"replica", nullptr, nullptr}},
-    {"brownout off", nullptr, {"replica", nullptr, nullptr}},
+    {"route", {"image", "replica", nullptr}},
+    {"admission reject", {"image", nullptr, nullptr}},
+    {"admission downgrade", {"image", nullptr, nullptr}},
+    {"steal", {"victim", "thief", "requests"}},
+    {"scale-up", {"replica", nullptr, nullptr}},
+    {"quiesce", {"replica", nullptr, nullptr}},
+    {"evacuate", {"from", "to", "requests"}},
+    {"crash", {"replica", "rehomed", "lost"}},
+    {"straggler on", {"replica", nullptr, nullptr}},
+    {"straggler off", {"replica", nullptr, nullptr}},
+    {"brownout on", {"replica", nullptr, nullptr}},
+    {"brownout off", {"replica", nullptr, nullptr}},
     // Replica-local preemption decisions are recorded, not traced:
     // the replica's own spans show them.
-    {nullptr, nullptr, {nullptr, nullptr, nullptr}},
-    {nullptr, nullptr, {nullptr, nullptr, nullptr}},
-    {nullptr, nullptr, {nullptr, nullptr, nullptr}},
-    {"migrate", nullptr, {"from", "to", "requests"}},
+    {nullptr, {nullptr, nullptr, nullptr}},
+    {nullptr, {nullptr, nullptr, nullptr}},
+    {nullptr, {nullptr, nullptr, nullptr}},
+    {"migrate", {"from", "to", "requests"}},
 };
 static_assert(std::size(kInstants) ==
                   static_cast<std::size_t>(DecisionKind::Migrate) + 1,
@@ -241,17 +239,18 @@ static_assert(std::size(kInstants) ==
 /**
  * The cluster coordinator of one run. It owns the replica engines
  * and steps them on the shared virtual clock; between steps it routes
- * arrivals (pinned to the offline assignment in static mode, live in
- * online mode), applies admission, work stealing, autoscaling, fault
- * actions and checkpoint migration, samples telemetry epochs, and
- * records every decision. The tallies go straight into the result.
+ * arrivals (pinned to ClusterEngine::routeTrace's offline assignment
+ * in static mode, live in online mode), applies admission, work
+ * stealing, autoscaling, fault actions and checkpoint migration,
+ * samples telemetry epochs, and records every decision. The tallies
+ * go straight into the result.
  */
 class Coordinator
 {
   public:
     Coordinator(const ClusterConfig &cfg, const Trace &trace,
-                const RunOptions &opts, DecisionTrace &decisions,
-                obs::Telemetry &telem)
+                const RunOptions &opts, std::vector<std::size_t> assignment,
+                DecisionTrace &decisions, obs::Telemetry &telem)
         : cfg_(cfg), as_(cfg.autoscale), trace_(trace),
           decisions_(decisions), telem_(telem),
           coordTr_(telem.coordinatorTracer()), n_(cfg.replicas.size()),
@@ -269,7 +268,9 @@ class Coordinator
           sharedCpu_(makeSharedCpuTier(cfg)),
           independent_(!liveRouting_ && sharedCpu_ == nullptr &&
                        !migrationOn_ && faults_.empty()),
-          router_(makeRouter(cfg.routing, model_, views_)), live_(n_),
+          router_(liveRouting_ ? makeRouter(cfg.routing, model_, views_)
+                               : nullptr),
+          assignment_(std::move(assignment)), live_(n_),
           dirty_(n_, 1), active_(n_, 1), activeCount_(n_),
           crashed_(n_, 0), lastScaleAction_(-as_.cooldown),
           nextControl_(as_.interval), quiesceStart_(n_, kTimeNever),
@@ -283,17 +284,6 @@ class Coordinator
                                      }),
                       "cluster runs need time-sorted arrivals");
 
-        // Static mode pins routing to the offline assignment; re-homing
-        // applies only when the assigned replica has crashed. Routing
-        // counts toward the "build" host phase but not toward wallSeconds,
-        // which times the replicas from construction to collection.
-        const WallTimer buildWall;
-        if (!liveRouting_) {
-            assignment_.reserve(trace.arrivals.size());
-            for (const ImageArrival &a : trace.arrivals)
-                assignment_.push_back(router_->route(a));
-        }
-        wall_.restart();
         engines_.reserve(n_);
         for (std::size_t i = 0; i < n_; ++i) {
             EngineConfig ecfg = cfg.replicas[i].cfg;
@@ -317,7 +307,6 @@ class Coordinator
             engines_.back()->beginOnline(static_cast<RequestId>(i),
                                          static_cast<RequestId>(n_));
         }
-        telem.host().add("build", buildWall.elapsedMicros());
 
         if (coordTr_ != nullptr) {
             coordTr_->setProcessName("coordinator");
@@ -422,36 +411,25 @@ class Coordinator
     }
 
   private:
-    /** How record() traces a decision. */
-    enum class Instant
-    {
-        /** The kind's instant from kInstants (if it has one). */
-        Named,
-        /** The kind's lost-image instant: name lostName, key a only. */
-        Lost,
-        /** No instant. */
-        None,
-    };
-
-    /** Note @p d in the decision stream and trace its instant. */
+    /**
+     * Note @p d in the decision stream and, if @p traced, trace its
+     * kind's instant from kInstants.
+     */
     void
-    record(const DecisionRecord &d, Instant instant = Instant::Named)
+    record(const DecisionRecord &d, bool traced = true)
     {
         decisions_.note(d);
-        if (coordTr_ == nullptr || instant == Instant::None)
+        if (coordTr_ == nullptr || !traced)
             return;
         const InstantShape &shape =
             kInstants[static_cast<std::size_t>(d.kind)];
-        const bool lost = instant == Instant::Lost;
-        const char *name = lost ? shape.lostName : shape.name;
-        if (name == nullptr)
+        if (shape.name == nullptr)
             return;
         const auto arg = [&shape](std::size_t k, std::uint64_t v) {
             return obs::TraceArg{shape.keys[k], static_cast<std::int64_t>(v)};
         };
-        coordTr_->instant(name, 0, d.time, arg(0, d.a),
-                          lost ? obs::TraceArg{} : arg(1, d.b),
-                          lost ? obs::TraceArg{} : arg(2, d.c));
+        coordTr_->instant(shape.name, 0, d.time, arg(0, d.a), arg(1, d.b),
+                          arg(2, d.c));
     }
 
     void
@@ -727,7 +705,7 @@ class Coordinator
         if (target == n_) {
             if (crashed_[src]) {
                 record({now, DecisionKind::Migrate, src, n_, cnt},
-                       Instant::None);
+                       /*traced=*/false);
                 return false;
             }
             target = src;
@@ -1069,7 +1047,7 @@ class Coordinator
             if (rehomeCnt_[i] > 0) {
                 record({f.time, DecisionKind::Evacuate, r, i,
                         static_cast<std::uint64_t>(rehomeCnt_[i])},
-                       Instant::None);
+                       /*traced=*/false);
             }
         }
     }
@@ -1152,7 +1130,12 @@ class Coordinator
         }
         if (crashed_[r]) {
             out_.crashLost += 1;
-            record({a.time, DecisionKind::Route, idx, n_, 0}, Instant::Lost);
+            record({a.time, DecisionKind::Route, idx, n_, 0},
+                   /*traced=*/false);
+            if (coordTr_ != nullptr) {
+                coordTr_->instant("route (lost)", 0, a.time,
+                                  {"image", static_cast<std::int64_t>(idx)});
+            }
             return n_;
         }
         record({a.time, DecisionKind::Route, idx, r, 0});
@@ -1190,14 +1173,14 @@ class Coordinator
                 admission_.assess(a.cls, a.time, a.deadline, best);
             const auto cls = static_cast<std::uint64_t>(a.cls);
             if (verdict == AdmissionVerdict::Reject) {
-                out_.clusterAdmission.recordRejected(a.cls);
+                admissionSlo_.recordRejected(a.cls);
                 record({a.time, DecisionKind::Reject, idx, cls, 0});
                 return;
             }
             if (verdict == AdmissionVerdict::Downgrade) {
                 // Scheduling class drops; the deadline stays for violation
                 // accounting (see ServingEngine's admitTimed).
-                out_.clusterAdmission.recordDowngraded(a.cls);
+                admissionSlo_.recordDowngraded(a.cls);
                 record({a.time, DecisionKind::Downgrade, idx, cls, 0});
                 a.cls = RequestClass::BestEffort;
             }
@@ -1226,7 +1209,7 @@ class Coordinator
     {
         const WallTimer collectWall;
         std::vector<RunResult> results(n_);
-        std::int64_t rejected = out_.clusterAdmission.rejected();
+        std::int64_t rejected = admissionSlo_.rejected();
         for (std::size_t i = 0; i < n_; ++i) {
             rejected += engines_[i]->rejectedImages();
             results[i] = engines_[i]->finishOnline();
@@ -1241,7 +1224,7 @@ class Coordinator
                       " rejected + ", out_.crashLost, " crash-lost of ",
                       trace_.arrivals.size());
         out_.wallSeconds = wall_.elapsedSeconds();
-        out_.slo.merge(out_.clusterAdmission);
+        out_.slo.merge(admissionSlo_);
         if (as_.enabled) {
             if (out_.makespan > lastActiveMark_) {
                 activeIntegral_ += static_cast<double>(activeCount_) *
@@ -1290,6 +1273,7 @@ class Coordinator
      * decisions, and advance() steps each replica on its own thread.
      */
     const bool independent_;
+    /** Online mode's live router (null in static mode). */
     std::unique_ptr<ReplicaRouter> router_;
     /** Static mode: the offline route of every arrival. */
     std::vector<std::size_t> assignment_;
@@ -1328,6 +1312,8 @@ class Coordinator
     std::size_t quiescing_ = 0;
 
     ClusterResult out_;
+    /** Cluster-level admission verdicts, merged into out_.slo. */
+    SloStats admissionSlo_;
 
     // Scratch buffers, reused across calls; no method filling one
     // calls another that fills the same buffer.
@@ -1545,8 +1531,18 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     obs::Telemetry telem(opts.telemetry,
                          static_cast<int>(cfg_.replicas.size()));
 
-    ClusterResult out =
-        Coordinator(cfg_, trace, opts, decisions, telem).run();
+    // Static mode pins routing to the offline assignment; re-homing
+    // applies only when the assigned replica has crashed. Routing counts
+    // toward the "build" host phase but not toward wallSeconds, which
+    // times the replicas from construction to collection.
+    const WallTimer buildWall;
+    std::vector<std::size_t> assignment;
+    if (cfg_.resolveMode(opts) != RunMode::Online)
+        assignment = routeTrace(trace);
+    Coordinator coord(cfg_, trace, opts, std::move(assignment), decisions,
+                      telem);
+    telem.host().add("build", buildWall.elapsedMicros());
+    ClusterResult out = coord.run();
 
     decisions.finish();
     out.decisionDigest = decisions.log().digest();

@@ -280,7 +280,8 @@ class ClusterEngine
     /**
      * Route @p trace without running it: one replica index per
      * arrival, in arrival order. Deterministic — a fresh router is
-     * built per call. Exposed for tests and dispatch inspection.
+     * built per call. Static-mode run() serves this assignment;
+     * exposed for tests and dispatch inspection.
      */
     std::vector<std::size_t> routeTrace(const Trace &trace) const;
 

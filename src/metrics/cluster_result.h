@@ -50,12 +50,6 @@ struct ClusterResult
      * classless traces.
      */
     SloStats slo;
-    /**
-     * The cluster-level admission verdicts alone (also merged into
-     * slo): what the coordinator rejected or downgraded before any
-     * replica saw the arrival.
-     */
-    SloStats clusterAdmission;
 
     /**
      * Per-tier counters of the cluster's memory hierarchy: replica

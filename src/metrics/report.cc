@@ -228,8 +228,15 @@ exportClusterMetrics(const ClusterResult &r,
     count("cluster.autoscale_quiesces", r.autoscaleQuiesces);
     count("cluster.autoscale_evacuated", r.autoscaleEvacuated);
     count("cluster.quiesce_drains", r.quiesceDrains);
-    count("cluster.rejected", r.clusterAdmission.rejected());
-    count("cluster.downgraded", r.clusterAdmission.downgraded());
+    // The coordinator's own admission verdicts: slo merges them with
+    // the replicas' accounting.
+    std::int64_t replicaRejected = 0, replicaDowngraded = 0;
+    for (const RunResult &rep : r.replicas) {
+        replicaRejected += rep.slo.rejected();
+        replicaDowngraded += rep.slo.downgraded();
+    }
+    count("cluster.rejected", r.slo.rejected() - replicaRejected);
+    count("cluster.downgraded", r.slo.downgraded() - replicaDowngraded);
     count("cluster.crashes", r.crashesInjected);
     count("cluster.crash_rehomed", r.crashRehomed);
     count("cluster.crash_lost", r.crashLost);
