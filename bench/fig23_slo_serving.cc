@@ -115,7 +115,6 @@ modeConfig(const Harness &h, const EngineConfig &cfg, Mode mode,
         h.context(), cfg, 4, RoutingPolicy::LeastLoaded, label);
     if (mode == Mode::Static)
         return cc;
-    cc.onlineRouting = true;
     cc.workStealing.enabled = true;
     cc.admission.enabled = true;
     cc.admission.slack = 1.25;
@@ -204,7 +203,10 @@ main()
              {Mode::Static, Mode::Online, Mode::OnlineAutoscale}) {
             ClusterEngine cluster(
                 modeConfig(h, cfg, mode, "fig23"));
-            const ClusterResult r = cluster.run(*tc.trace, RunOptions{});
+            const ClusterResult r = cluster.run(
+                *tc.trace, runWithMode(mode == Mode::Static
+                                           ? RunMode::Static
+                                           : RunMode::Online));
             const double goodput = r.slo.goodput(r.makespan);
             if (tc.trace == &diurnal) {
                 if (mode == Mode::Static)

@@ -18,55 +18,6 @@ namespace coserve {
 
 namespace {
 
-/**
- * Predicted completion of @p a on one replica, from its live view: the
- * earliest-free executor plus the Section-4.2 execution estimate, the
- * switch when the classifier is neither queued nor resident, and the
- * detect child's execution when the component chains one, priced on
- * @p proc (ReplicaCapabilities::estimateProc). The cluster-admission
- * twin of ServingEngine::predictCompletion, using the replica's
- * *profiled* matrix since the coordinator has it.
- */
-Time
-predictReplicaCompletion(const ReplicaView &view, ProcKind proc,
-                         const ReplicaLoadView &live,
-                         const CoEModel &model, const ImageArrival &a)
-{
-    const ComponentType &comp = model.component(a.component);
-    const ExpertId expert = comp.classifier;
-    const ArchId arch = model.expert(expert).arch;
-
-    const bool joins = live.queued(expert);
-    Time add = DependencyAwareScheduler::execEstimate(
-        &view.ctx->perf(), &view.ctx->truth(), arch, proc, joins);
-    if (!joins && !live.resident(expert) &&
-        view.ctx->perf().has(arch, proc)) {
-        const Time load = view.ctx->perf().at(arch, proc).loadLatency;
-        add += proc == ProcKind::GPU
-                   ? static_cast<Time>(static_cast<double>(load) *
-                                       live.gpuPressure)
-                   : load;
-        add += std::max<Time>(0, live.storageFreeAt -
-                                     std::max(live.now, a.time));
-    }
-    if (comp.detector != kNoExpert) {
-        add += DependencyAwareScheduler::execEstimate(
-            &view.ctx->perf(), &view.ctx->truth(),
-            model.expert(comp.detector).arch, proc, false);
-    }
-
-    Time soonest = a.time;
-    if (!live.executors.empty()) {
-        soonest = kTimeNever;
-        for (const ReplicaLoadView::ExecutorLoad &ex : live.executors) {
-            soonest = std::min(soonest,
-                               std::max(a.time, ex.busyUntil) +
-                                   ex.pendingWork);
-        }
-    }
-    return std::max(a.time, soonest) + add;
-}
-
 /** One scheduled fault application, flattened from a FaultPlan. */
 struct FaultAction
 {
@@ -256,7 +207,7 @@ class Coordinator
           coordTr_(telem.coordinatorTracer()), n_(cfg.replicas.size()),
           model_(cfg.replicas.front().ctx->model()),
           views_(replicaViews(cfg)), caps_(views_, model_),
-          liveRouting_(cfg.resolveMode(opts) == RunMode::Online),
+          liveRouting_(opts.mode == RunMode::Online),
           preemptOn_(cfg.preemption.enabled),
           migrationOn_(preemptOn_ && cfg.preemption.migration),
           sloTrace_(std::any_of(trace.arrivals.begin(), trace.arrivals.end(),
@@ -347,13 +298,15 @@ class Coordinator
     {
         if (independent_) {
             // Arrivals are not decisions here: every Route record comes
-            // first, and the first advance() admits the arrivals.
+            // first, each arrival admitted onto its replica at once.
             for (; next_ < trace_.arrivals.size(); ++next_) {
-                assignment_[next_] =
-                    placeArrival(trace_.arrivals[next_], next_,
-                                 assignment_[next_]);
+                const ImageArrival &a = trace_.arrivals[next_];
+                const std::size_t r =
+                    placeArrival(a, next_, assignment_[next_]);
+                COSERVE_CHECK(r < n_, "independent run lost arrival ",
+                              next_);
+                engines_[r]->admitArrival(a);
             }
-            admitPending_ = next_ > 0;
         }
 
         // The next thing that happens cluster-wide is the earliest of the
@@ -527,11 +480,11 @@ class Coordinator
         }
     }
 
-    /** Earliest pending replica event, pinned admissions included. */
+    /** Earliest pending replica event. */
     Time
     nextReplicaTime()
     {
-        Time t = admitPending_ ? trace_.arrivals.front().time : kTimeNever;
+        Time t = kTimeNever;
         for (const auto &engine : engines_)
             t = std::min(t, engine->nextEventTime());
         return t;
@@ -564,24 +517,15 @@ class Coordinator
     void
     advanceThreaded(Time until)
     {
-        // The first call also admits every pinned arrival onto its
-        // replica, on that replica's thread.
         std::vector<std::thread> threads;
         for (std::size_t i = 0; i < n_; ++i) {
-            if (!admitPending_ && engines_[i]->nextEventTime() > until)
-                continue;
-            const std::size_t admit = admitPending_ ? next_ : 0;
-            threads.emplace_back([this, i, until, admit]() {
-                for (std::size_t idx = 0; idx < admit; ++idx) {
-                    if (assignment_[idx] == i)
-                        engines_[i]->admitArrival(trace_.arrivals[idx]);
-                }
-                engines_[i]->stepUntil(until);
-            });
+            if (engines_[i]->nextEventTime() <= until) {
+                threads.emplace_back(
+                    [this, i, until]() { engines_[i]->stepUntil(until); });
+            }
         }
         for (std::thread &t : threads)
             t.join();
-        admitPending_ = false;
         if (!preemptOn_)
             return;
         // Preemption records merged by (time, replica), stable within a
@@ -1158,16 +1102,26 @@ class Coordinator
 
         // Cluster-level admission (online only): can *any* active capable
         // replica make this deadline? Predicted from the live views with
-        // the same Section-4.2 estimate the routers use.
+        // the routers' Section-4.2 estimate, plus the detect child's
+        // K + B when the component chains one: the deadline covers the
+        // whole chain.
         if (cfg_.admission.enabled && a.deadline != kTimeNever) {
             refreshViews();
+            const ComponentType &comp = model_.component(a.component);
             Time best = kTimeNever;
             for (std::size_t i = 0; i < n_; ++i) {
                 if (!active_[i] || !caps_.chainServes(i, a.component))
                     continue;
-                best = std::min(best, predictReplicaCompletion(
-                                          views_[i], caps_.estimateProc(i),
-                                          live_[i], model_, a));
+                const ProcKind proc = caps_.estimateProc(i);
+                Time finish = liveEstimate(views_[i], proc, live_[i],
+                                           comp.classifier, a.time)
+                                  .finish;
+                if (comp.detector != kNoExpert) {
+                    finish += DependencyAwareScheduler::execEstimate(
+                        &views_[i].ctx->perf(), &views_[i].ctx->truth(),
+                        model_.expert(comp.detector).arch, proc, false);
+                }
+                best = std::min(best, finish);
             }
             const AdmissionVerdict verdict =
                 admission_.assess(a.cls, a.time, a.deadline, best);
@@ -1280,8 +1234,6 @@ class Coordinator
     /** Host time from replica construction to collection. */
     WallTimer wall_;
     std::vector<std::unique_ptr<ServingEngine>> engines_;
-    /** Pinned arrivals placed but not yet on their engines. */
-    bool admitPending_ = false;
     /** Next arrival to route. */
     std::size_t next_ = 0;
     std::size_t nextFault_ = 0;
@@ -1332,7 +1284,7 @@ ClusterConfig::validate(const RunOptions &opts) const
 {
     std::vector<std::string> errors;
     const std::size_t n = replicas.size();
-    const bool online = resolveMode(opts) == RunMode::Online;
+    const bool online = opts.mode == RunMode::Online;
 
     if (n == 0)
         errors.push_back("cluster has no replicas");
@@ -1340,8 +1292,7 @@ ClusterConfig::validate(const RunOptions &opts) const
     if (!online) {
         if (workStealing.enabled) {
             errors.push_back(
-                "workStealing requires online mode (RunMode::Online "
-                "or ClusterConfig::onlineRouting)");
+                "workStealing requires online mode (RunMode::Online)");
         }
         if (autoscale.enabled)
             errors.push_back("autoscale requires online mode");
@@ -1537,7 +1488,7 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     // times the replicas from construction to collection.
     const WallTimer buildWall;
     std::vector<std::size_t> assignment;
-    if (cfg_.resolveMode(opts) != RunMode::Online)
+    if (opts.mode == RunMode::Static)
         assignment = routeTrace(trace);
     Coordinator coord(cfg_, trace, opts, std::move(assignment), decisions,
                       telem);

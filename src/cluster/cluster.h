@@ -9,17 +9,18 @@
  *
  *     ClusterResult r = engine.run(trace, opts);
  *
- * RunOptions selects the execution mode (static pre-routing vs online
- * routing), optional decision-log recording or replay, and an optional
- * fault plan (replay/fault_plan.h). Both modes run through one
- * coordinator on the shared virtual clock:
+ * RunOptions::mode selects the execution mode (static pre-routing,
+ * the default, or online routing); the options also carry optional
+ * decision-log recording or replay and an optional fault plan
+ * (replay/fault_plan.h). Both modes run through one coordinator on the
+ * shared virtual clock:
  *
  *  - static: every arrival is pinned to the replica the offline router
  *    picks up front. With no shared CPU tier, no migration and no
  *    fault plan the replicas cannot interact, so the coordinator
- *    admits each replica's arrivals and steps it on its own
- *    std::thread up to the next sampler tick (to idle without a
- *    sampler); otherwise it steps them in lockstep;
+ *    admits every arrival onto its replica up front, then steps each
+ *    replica on its own std::thread up to the next sampler tick (to
+ *    idle without a sampler); otherwise it steps them in lockstep;
  *  - online: the coordinator steps all replicas in lockstep, routes
  *    each arrival at its arrival time from live replica state, and —
  *    per ClusterConfig policy groups — steals work, admits against
@@ -149,23 +150,26 @@ struct ReplicaSpec
 /** Execution mode of one cluster run. */
 enum class RunMode
 {
-    /** Follow ClusterConfig::onlineRouting. */
-    Auto,
     /** Pin every arrival to its offline route (no live decisions). */
     Static,
-    /** Lockstep coordinator with live routing. */
+    /**
+     * Route each arrival *at its arrival time* through the router's
+     * routeLive() overload, from live replica load views (queue depth,
+     * per-executor predicted finish, actual resident experts) instead
+     * of the router's private model. ClusterConfig's online-only
+     * policies (workStealing, admission, autoscale) require it.
+     */
     Online,
 };
 
 /**
  * Per-run options for ClusterEngine::run: mode selection, decision-log
  * recording / replay, and fault injection. Default-constructed options
- * run clean (no faults, no record/replay) in the mode
- * ClusterConfig::onlineRouting selects.
+ * run clean (no faults, no record/replay) in static mode.
  */
 struct RunOptions
 {
-    RunMode mode = RunMode::Auto;
+    RunMode mode = RunMode::Static;
     /** Write the decision log here after the run ("" = don't). */
     std::string recordPath;
     /**
@@ -200,21 +204,6 @@ struct ClusterConfig
     RoutingPolicy routing = RoutingPolicy::LeastLoaded;
     /** Cluster-shared CPU DRAM tier policy. */
     SharedCpuPolicy sharedCpu;
-    /**
-     * Online cluster scheduling: instead of pinning every arrival to
-     * its offline route, the coordinator routes each arrival *at its
-     * arrival time* through the router's routeLive() overload, using
-     * live replica load views (queue depth, per-executor predicted
-     * finish, actual resident experts) instead of the router's private
-     * model.
-     *
-     * Deterministic by construction in either mode: coordination is
-     * driven purely by the shared virtual clock, and replicas that
-     * share a CPU tier are stepped in lockstep on one thread.
-     *
-     * This is the RunMode::Auto default; RunOptions::mode overrides.
-     */
-    bool onlineRouting = false;
     /** Work stealing between replicas (online mode only). */
     StealPolicy workStealing;
     /**
@@ -250,15 +239,6 @@ struct ClusterConfig
      * ClusterEngine::run() rejects configs with errors.
      */
     std::vector<std::string> validate(const RunOptions &opts = {}) const;
-
-    /** The mode @p opts resolves to under this config. */
-    RunMode
-    resolveMode(const RunOptions &opts) const
-    {
-        if (opts.mode != RunMode::Auto)
-            return opts.mode;
-        return onlineRouting ? RunMode::Online : RunMode::Static;
-    }
 };
 
 /** Single-use cluster instance. */

@@ -43,6 +43,43 @@ ReplicaCapabilities::ReplicaCapabilities(
     }
 }
 
+Time
+liveSwitchCost(const ReplicaView &view, ArchId arch, ProcKind proc,
+               const ReplicaLoadView &live, Time at)
+{
+    if (!view.ctx->perf().has(arch, proc))
+        return 0;
+    const Time load = view.ctx->perf().at(arch, proc).loadLatency;
+    const Time cost = proc == ProcKind::GPU
+                          ? static_cast<Time>(static_cast<double>(load) *
+                                              live.gpuPressure)
+                          : load;
+    return cost +
+           std::max<Time>(0, live.storageFreeAt - std::max(live.now, at));
+}
+
+LiveEstimate
+liveEstimate(const ReplicaView &view, ProcKind proc,
+             const ReplicaLoadView &live, ExpertId expert, Time at)
+{
+    const ArchId arch = view.ctx->model().expert(expert).arch;
+    const bool joins = live.queued(expert);
+    LiveEstimate est;
+    est.cost = DependencyAwareScheduler::execEstimate(
+        &view.ctx->perf(), &view.ctx->truth(), arch, proc, joins);
+    if (!joins && !live.resident(expert))
+        est.cost += liveSwitchCost(view, arch, proc, live, at);
+    // Live per-executor loads make the offline parallelism division
+    // unnecessary.
+    Time soonest = live.executors.empty() ? at : kTimeNever;
+    for (const ReplicaLoadView::ExecutorLoad &ex : live.executors) {
+        soonest =
+            std::min(soonest, std::max(at, ex.busyUntil) + ex.pendingWork);
+    }
+    est.finish = std::max(at, soonest) + est.cost;
+    return est;
+}
+
 namespace {
 
 /** splitmix64 finalizer: spreads dense expert ids across replicas. */
@@ -276,42 +313,17 @@ class LeastLoadedRouter : public ReplicaRouter
             if (!views[i].acceptingWork ||
                 !caps_.chainServes(i, arrival.component))
                 continue;
-            const ReplicaView &view = replicas_[i];
-            const ReplicaLoadView &live = views[i];
-            const ProcKind proc = caps_.estimateProc(i);
-            // Section 4.2 at replica granularity, with *actual* state:
-            // joining an already-queued same-expert group costs K and
-            // no switch; a resident expert skips the switch; anything
-            // else pays K + B plus the switch — the profiled load
-            // latency inflated by the replica's live GPU memory
-            // pressure and queued behind its in-flight storage
-            // transfers, both of which the offline router cannot see.
-            const bool joins = live.queued(expert);
-            const bool resident = live.resident(expert);
-            Time add = DependencyAwareScheduler::execEstimate(
-                &view.ctx->perf(), &view.ctx->truth(), arch, proc,
-                joins);
-            if (!joins && !resident)
-                add += switchCost(i, arch, proc, live, arrival.time);
-            // Earliest-free executor at the arrival instant: live
-            // per-executor loads make the offline parallelism
-            // division unnecessary.
-            Time soonest = kTimeNever;
-            for (const ReplicaLoadView::ExecutorLoad &ex :
-                 live.executors) {
-                soonest = std::min(
-                    soonest, std::max(arrival.time, ex.busyUntil) +
-                                 ex.pendingWork);
-            }
-            if (live.executors.empty())
-                soonest = arrival.time;
-            const Time finish = std::max(arrival.time, soonest) + add;
-            finishes[i] = finish;
-            if (finish < bestFinish ||
-                (finish == bestFinish && add < bestAdd)) {
+            // Live residency, GPU memory pressure and storage backlog:
+            // state the offline router cannot see.
+            const LiveEstimate est =
+                liveEstimate(replicas_[i], caps_.estimateProc(i),
+                             views[i], expert, arrival.time);
+            finishes[i] = est.finish;
+            if (est.finish < bestFinish ||
+                (est.finish == bestFinish && est.cost < bestAdd)) {
                 best = i;
-                bestFinish = finish;
-                bestAdd = add;
+                bestFinish = est.finish;
+                bestAdd = est.cost;
             }
         }
         COSERVE_CHECK(best < replicas_.size(),
@@ -329,13 +341,12 @@ class LeastLoadedRouter : public ReplicaRouter
         if (static_cast<std::size_t>(expert) >= home_.size())
             home_.resize(static_cast<std::size_t>(expert) + 1, SIZE_MAX);
         const std::size_t h = home_[expert];
-        if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever) {
-            const ProcKind proc = caps_.estimateProc(h);
-            if (finishes[h] <= bestFinish + switchCost(h, arch, proc,
+        if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever &&
+            finishes[h] <= bestFinish + liveSwitchCost(replicas_[h], arch,
+                                                       caps_.estimateProc(h),
                                                        views[h],
                                                        arrival.time))
-                best = h;
-        }
+            best = h;
         home_[expert] = best;
         return best;
     }
@@ -350,30 +361,6 @@ class LeastLoadedRouter : public ReplicaRouter
         std::size_t capacity = 1;
         std::size_t parallelism = 1;
     };
-
-    /**
-     * Live switch cost of loading @p arch onto replica @p i at time
-     * @p at: the profiled load latency, inflated by the replica's
-     * current GPU memory pressure, queued behind its in-flight
-     * storage transfers. @p at is the decision instant (the arrival
-     * time) — a cached view's own clock may be older.
-     */
-    Time
-    switchCost(std::size_t i, ArchId arch, ProcKind proc,
-               const ReplicaLoadView &live, Time at) const
-    {
-        const ReplicaView &view = replicas_[i];
-        if (!view.ctx->perf().has(arch, proc))
-            return 0;
-        const Time load = view.ctx->perf().at(arch, proc).loadLatency;
-        Time cost = proc == ProcKind::GPU
-                        ? static_cast<Time>(static_cast<double>(load) *
-                                            live.gpuPressure)
-                        : load;
-        cost += std::max<Time>(0, live.storageFreeAt -
-                                      std::max(live.now, at));
-        return cost;
-    }
 
     Time
     additionalLatency(std::size_t i, ExpertId expert, ArchId arch) const

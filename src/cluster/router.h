@@ -191,6 +191,39 @@ replicaAdditionalLatency(Time execPart, Time switchPart,
 }
 
 /**
+ * Live switch cost of loading @p arch onto the replica behind @p view
+ * at decision time @p at, priced on @p proc: the profiled load latency
+ * (0 when the replica's context never profiled @p arch on @p proc),
+ * inflated on a GPU by the replica's live memory pressure, plus the
+ * wait behind its in-flight storage transfers. @p at is the decision
+ * instant; a cached view's own clock may be older.
+ */
+Time liveSwitchCost(const ReplicaView &view, ArchId arch, ProcKind proc,
+                    const ReplicaLoadView &live, Time at);
+
+/** One replica's live Section-4.2 estimate for one request. */
+struct LiveEstimate
+{
+    /** Predicted finish: the earliest-free executor plus cost. */
+    Time finish = 0;
+    /** The execution + switch part: the routers' tie-break. */
+    Time cost = 0;
+};
+
+/**
+ * Section 4.2 at replica granularity, from the replica's actual state
+ * in @p live: joining an already-queued same-@p expert group costs K
+ * and no switch; a resident expert pays K + B; anything else pays
+ * K + B plus liveSwitchCost(). Priced on @p proc
+ * (ReplicaCapabilities::estimateProc). The finish counts from the
+ * executor that frees up first at @p at, or from @p at when the view
+ * lists no executors.
+ */
+LiveEstimate liveEstimate(const ReplicaView &view, ProcKind proc,
+                          const ReplicaLoadView &live, ExpertId expert,
+                          Time at);
+
+/**
  * Build a router over @p replicas for @p model. Views are copied; the
  * contexts/configs they point to must outlive the router.
  */

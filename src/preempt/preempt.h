@@ -111,10 +111,10 @@ struct CheckpointImage
 
 /**
  * One engine-local preemption decision, buffered by the ServingEngine
- * during online runs and drained by the cluster coordinator into its
- * DecisionTrace (replay/decision_log.h) — replica-local pauses and
- * restores are part of the replayable schedule too. Single-engine runs
- * keep counters only and never buffer these.
+ * and drained by the cluster coordinator into its DecisionTrace
+ * (replay/decision_log.h) — replica-local pauses and restores are part
+ * of the replayable schedule too. A lone ServingEngine::run() leaves
+ * them in the buffer; its result keeps the counters.
  */
 struct PreemptEvent
 {

@@ -507,33 +507,35 @@ ServingEngine::admitTimed(Request req)
 }
 
 Time
+ServingEngine::chainCost(std::size_t i, const Request &req,
+                         bool joins) const
+{
+    const Executor &exec = *executors_[i];
+    const LatencyParams &p = truth_.params(archOf(req.expert), exec.kind());
+    Time cost = (joins ? p.perImage : p.perImage + p.fixed) +
+                predictLoadTime(i, req.expert);
+    const ComponentType &comp = model_.component(req.component);
+    if (req.stage == Stage::Classify && comp.detector != kNoExpert) {
+        // The deadline covers the whole chain; charge the detect
+        // child's execution (its switch usually overlaps or hits an
+        // arranged group, so only K + B is added).
+        const LatencyParams &d =
+            truth_.params(archOf(comp.detector), exec.kind());
+        cost += d.perImage + d.fixed;
+    }
+    return cost;
+}
+
+Time
 ServingEngine::predictCompletion(const Request &req) const
 {
-    const ArchId arch = archOf(req.expert);
-    const ComponentType &comp = model_.component(req.component);
     const Time now = eq_.now();
     Time best = kTimeNever;
     for (std::size_t i = 0; i < executors_.size(); ++i) {
         const Executor &exec = *executors_[i];
-        // K when an existing same-expert group absorbs the request,
-        // K + B when it opens a new one (Section 4.2) — the ground
-        // truth stands in for the profiled matrix, exactly like the
-        // scheduler's fallback path.
-        const LatencyParams &p = truth_.params(arch, exec.kind());
-        Time add = exec.queue().containsExpert(req.expert)
-                       ? p.perImage
-                       : p.perImage + p.fixed;
-        add += predictLoadTime(i, req.expert);
-        if (req.stage == Stage::Classify && comp.detector != kNoExpert) {
-            // The deadline covers the whole chain; charge the detect
-            // child's execution (its switch usually overlaps or hits
-            // an arranged group, so only K + B is added).
-            const LatencyParams &d = truth_.params(
-                archOf(comp.detector), exec.kind());
-            add += d.perImage + d.fixed;
-        }
-        const Time finish = std::max(now, exec.busyUntil()) +
-                            exec.queue().pendingWork() + add;
+        const Time finish =
+            std::max(now, exec.busyUntil()) + exec.queue().pendingWork() +
+            chainCost(i, req, exec.queue().containsExpert(req.expert));
         best = std::min(best, finish);
     }
     return best;
@@ -543,8 +545,6 @@ bool
 ServingEngine::tryPreemptFor(const Request &req)
 {
     const int prio = priorityOf(req.cls);
-    const ArchId arch = archOf(req.expert);
-    const ComponentType &comp = model_.component(req.component);
     std::size_t best = executors_.size();
     Time bestFinish = kTimeNever;
     for (std::size_t i = 0; i < executors_.size(); ++i) {
@@ -555,19 +555,11 @@ ServingEngine::tryPreemptFor(const Request &req)
         if (pauseAt == kTimeNever)
             continue;
         // The slot frees after the pause boundary plus the checkpoint
-        // save; the rescued request then pays its own switch and run —
-        // mirroring predictCompletion()'s per-executor estimate.
-        const Time avail =
-            pauseAt + predictCheckpointTransfer(
-                          exec, checkpointStateBytes(exec));
-        const LatencyParams &p = truth_.params(arch, exec.kind());
-        Time add = p.perImage + p.fixed + predictLoadTime(i, req.expert);
-        if (req.stage == Stage::Classify && comp.detector != kNoExpert) {
-            const LatencyParams &d =
-                truth_.params(archOf(comp.detector), exec.kind());
-            add += d.perImage + d.fixed;
-        }
-        const Time finish = avail + add;
+        // save; the rescued request then opens its own group there.
+        const Time finish =
+            pauseAt +
+            predictCheckpointTransfer(exec, checkpointStateBytes(exec)) +
+            chainCost(i, req, /*joins=*/false);
         if (finish < bestFinish) {
             bestFinish = finish;
             best = i;
@@ -644,31 +636,17 @@ ServingEngine::preload()
     }
 }
 
-void
-ServingEngine::beginRun()
-{
-    result_.label = cfg_.label;
-    scheduler_->reset();
-    preload();
-}
-
 RunResult
 ServingEngine::run(const Trace &trace)
 {
-    COSERVE_CHECK(!ran_, "ServingEngine instances are single-use");
-    ran_ = true;
-
-    beginRun();
-
     // Arrivals take ids 0..n-1 in trace order (every id and event
     // sequence number is taken here, before any child request is
     // spawned, although the feed hands the arrivals to the event heap
     // one at a time); children continue from n.
-    nextRequestId_ = 0;
+    beginOnline(0, 1);
     for (const ImageArrival &a : trace.arrivals)
-        scheduleArrival(a);
-
-    eq_.run();
+        admitArrival(a);
+    stepUntil(kTimeNever);
 
     // Every arrival either completed or was dropped at the door by
     // admission control; anything else is a lost request.
@@ -677,12 +655,52 @@ ServingEngine::run(const Trace &trace)
                   "lost images: ", imagesDone_, " done + ",
                   imagesRejected_, " rejected of ",
                   trace.arrivals.size());
-    return collectResult();
+    return finishOnline();
+}
+
+void
+ServingEngine::appendTierStats(std::vector<TierStats> &out) const
+{
+    // Per-tier counters, top to bottom. A cluster-shared CPU tier is
+    // owned (and reported) by the cluster, not by this engine.
+    if (gpuPool_)
+        out.push_back(gpuPool_->stats());
+    if (cpuPool_)
+        out.push_back(cpuPool_->stats());
+    if (cfg_.externalCpuTier == nullptr && cpuCache_.enabled())
+        out.push_back(cpuCache_.stats());
+    out.push_back(disk_.stats());
+}
+
+// ---------------------------------------------------------- run lifecycle
+
+void
+ServingEngine::beginOnline(RequestId idBase, RequestId idStride)
+{
+    COSERVE_CHECK(!ran_, "ServingEngine instances are single-use");
+    COSERVE_CHECK(idStride >= 1, "request id stride must be >= 1");
+    ran_ = true;
+    nextRequestId_ = idBase;
+    requestIdStride_ = idStride;
+    result_.label = cfg_.label;
+    scheduler_->reset();
+    preload();
 }
 
 RunResult
-ServingEngine::collectResult()
+ServingEngine::finishOnline()
 {
+    COSERVE_CHECK(ran_, "finishOnline before beginOnline");
+    COSERVE_CHECK(eq_.pending() == 0, "finishOnline with ",
+                  eq_.pending(), " events pending");
+    COSERVE_CHECK(migrateOutbox_.empty(), "finishOnline with ",
+                  migrateOutbox_.size(),
+                  " checkpoints stranded in the migration outbox");
+    for (const auto &exec : executors_) {
+        COSERVE_CHECK(exec->parkedCount() == 0, "finishOnline with ",
+                      exec->parkedCount(), " parked checkpoints on ",
+                      exec->name());
+    }
     result_.images = imagesDone_;
     result_.makespan = lastCompletion_;
     result_.eventsExecuted = eq_.executed();
@@ -707,37 +725,9 @@ ServingEngine::collectResult()
 }
 
 void
-ServingEngine::appendTierStats(std::vector<TierStats> &out) const
-{
-    // Per-tier counters, top to bottom. A cluster-shared CPU tier is
-    // owned (and reported) by the cluster, not by this engine.
-    if (gpuPool_)
-        out.push_back(gpuPool_->stats());
-    if (cpuPool_)
-        out.push_back(cpuPool_->stats());
-    if (cfg_.externalCpuTier == nullptr && cpuCache_.enabled())
-        out.push_back(cpuCache_.stats());
-    out.push_back(disk_.stats());
-}
-
-// ------------------------------ cluster-level online coordination API
-
-void
-ServingEngine::beginOnline(RequestId idBase, RequestId idStride)
-{
-    COSERVE_CHECK(!ran_, "ServingEngine instances are single-use");
-    COSERVE_CHECK(idStride >= 1, "request id stride must be >= 1");
-    ran_ = true;
-    online_ = true;
-    nextRequestId_ = idBase;
-    requestIdStride_ = idStride;
-    beginRun();
-}
-
-void
 ServingEngine::admitArrival(const ImageArrival &a)
 {
-    COSERVE_CHECK(online_, "admitArrival outside an online run");
+    COSERVE_CHECK(ran_, "admitArrival before beginOnline");
     COSERVE_CHECK(!crashed_, "admitting into a crashed replica");
     scheduleArrival(a);
 }
@@ -805,7 +795,7 @@ ServingEngine::stealRequests(std::size_t maxCount,
                              std::vector<Request> &out,
                              const RequestQueue::StealFilter &allow)
 {
-    COSERVE_CHECK(online_, "stealRequests outside an online run");
+    COSERVE_CHECK(ran_, "stealRequests before beginOnline");
     std::size_t total = 0;
     // A queue can run out of stealable (filter-passing, non-head)
     // requests while a shallower one still has some.
@@ -850,7 +840,7 @@ ServingEngine::stealRequests(std::size_t maxCount,
 void
 ServingEngine::injectRequest(const Request &req)
 {
-    COSERVE_CHECK(online_, "injectRequest outside an online run");
+    COSERVE_CHECK(ran_, "injectRequest before beginOnline");
     COSERVE_CHECK(!crashed_, "injecting into a crashed replica");
     COSERVE_CHECK(req.arrival <= eq_.now(),
                   "stolen request from the future");
@@ -860,7 +850,7 @@ ServingEngine::injectRequest(const Request &req)
 std::size_t
 ServingEngine::crashDrain(std::vector<Request> &out)
 {
-    COSERVE_CHECK(online_, "crashDrain outside an online run");
+    COSERVE_CHECK(ran_, "crashDrain before beginOnline");
     COSERVE_CHECK(!crashed_, "replica crashed twice");
     crashed_ = true;
     std::size_t drained = 0;
@@ -900,23 +890,6 @@ void
 ServingEngine::setStorageRateScale(double scale)
 {
     storage_->setRateScale(scale);
-}
-
-RunResult
-ServingEngine::finishOnline()
-{
-    COSERVE_CHECK(online_, "finishOnline without beginOnline");
-    COSERVE_CHECK(eq_.pending() == 0, "finishOnline with ",
-                  eq_.pending(), " events pending");
-    COSERVE_CHECK(migrateOutbox_.empty(), "finishOnline with ",
-                  migrateOutbox_.size(),
-                  " checkpoints stranded in the migration outbox");
-    for (const auto &exec : executors_) {
-        COSERVE_CHECK(exec->parkedCount() == 0, "finishOnline with ",
-                      exec->parkedCount(), " parked checkpoints on ",
-                      exec->name());
-    }
-    return collectResult();
 }
 
 // ----------------------- preemption / checkpoint / live migration API
@@ -977,14 +950,11 @@ ServingEngine::onGroupCheckpointed(Executor &exec, CheckpointImage img,
                                    bool migrateOut)
 {
     result_.checkpointedGroups += 1;
-    if (online_) {
-        preemptEvents_.push_back(
-            {eq_.now(),
-             migrateOut ? PreemptEvent::What::Checkpoint
-                        : PreemptEvent::What::Preempt,
-             exec.index(),
-             static_cast<std::uint64_t>(img.requests.size())});
-    }
+    preemptEvents_.push_back(
+        {eq_.now(),
+         migrateOut ? PreemptEvent::What::Checkpoint
+                    : PreemptEvent::What::Preempt,
+         exec.index(), static_cast<std::uint64_t>(img.requests.size())});
     if (cfg_.tracer != nullptr) {
         cfg_.tracer->instant(
             migrateOut ? "checkpoint (migrate-out)"
@@ -1005,11 +975,9 @@ void
 ServingEngine::onGroupRestored(Executor &exec, int requests)
 {
     result_.restoredGroups += 1;
-    if (online_) {
-        preemptEvents_.push_back({eq_.now(), PreemptEvent::What::Restore,
-                                  exec.index(),
-                                  static_cast<std::uint64_t>(requests)});
-    }
+    preemptEvents_.push_back({eq_.now(), PreemptEvent::What::Restore,
+                              exec.index(),
+                              static_cast<std::uint64_t>(requests)});
     if (cfg_.tracer != nullptr) {
         cfg_.tracer->instant("restore", exec.index() + 1, eq_.now(),
                              {"requests", requests});
@@ -1024,13 +992,9 @@ ServingEngine::captureCheckpoints(std::vector<CheckpointImage> &out)
         const std::size_t mark = out.size();
         if (exec->checkpointRunning(out) > 0) {
             result_.checkpointedGroups += 1;
-            if (online_) {
-                preemptEvents_.push_back(
-                    {eq_.now(), PreemptEvent::What::Checkpoint,
-                     exec->index(),
-                     static_cast<std::uint64_t>(
-                         out[mark].requests.size())});
-            }
+            preemptEvents_.push_back(
+                {eq_.now(), PreemptEvent::What::Checkpoint, exec->index(),
+                 static_cast<std::uint64_t>(out[mark].requests.size())});
             captured += 1;
         }
         captured += exec->takeParked(out);

@@ -145,26 +145,26 @@ class ServingEngine
 
     /**
      * Serve @p trace to completion; callable once per engine. An empty
-     * trace is legal (a cluster replica may be routed zero requests)
-     * and yields an empty result. Arrivals take request ids 0..n-1 in
-     * trace order; the trace need not be time-sorted.
+     * trace is legal and yields an empty result. Arrivals take request
+     * ids 0..n-1 in trace order; the trace need not be time-sorted.
      */
     RunResult run(const Trace &trace);
 
-    // ----- API for cluster-level online coordination -----------------
+    // ----- run lifecycle ---------------------------------------------
     //
-    // In ClusterConfig::onlineRouting mode the cluster coordinator —
-    // not the engine — owns the trace: it steps all replicas in
-    // lockstep on the shared virtual clock, routes each arrival at its
-    // arrival time using live load views, and may re-route
+    // Every run follows one protocol: beginOnline() once, then any
+    // interleaving of admitArrival / stepUntil / nextEventTime /
+    // fillLoadView / stealRequests / injectRequest, then finishOnline()
+    // once. run() is this protocol for one whole trace: beginOnline(0,
+    // 1), admitArrival() per arrival, stepUntil(kTimeNever), then
+    // finishOnline(). A cluster coordinator instead owns the trace: it
+    // steps its replicas on the shared virtual clock, admits each
+    // arrival onto the replica it routes it to, and may re-route
     // queued-but-unstarted requests between replicas (work stealing).
-    // Protocol: beginOnline() once, then any interleaving of
-    // admitArrival / stepUntil / nextEventTime / fillLoadView /
-    // stealRequests / injectRequest, then finishOnline() once.
 
     /**
-     * Start an externally-driven run (instead of run()): resets the
-     * scheduler and preloads the pools, but schedules no arrivals.
+     * Start the run; callable once per engine: resets the scheduler
+     * and preloads the pools, but schedules no arrivals.
      *
      * Request ids are allocated as @p idBase + k * @p idStride so a
      * coordinator can give each replica a disjoint id space (replica i
@@ -257,10 +257,10 @@ class ServingEngine
     void injectRequest(const Request &req);
 
     /**
-     * Finish an online run: collect metrics exactly as run() does. The
-     * per-engine images == arrivals invariant is *not* checked — with
-     * work stealing a chain may complete on a different replica than
-     * it was admitted to; the cluster validates the total instead.
+     * Finish the run and collect its metrics. Only run() checks the
+     * per-engine images == arrivals invariant: with work stealing a
+     * chain may complete on a different replica than it was admitted
+     * to, so a cluster validates the total instead.
      */
     RunResult finishOnline();
 
@@ -420,7 +420,7 @@ class ServingEngine
 
     /**
      * Append live per-tier statistics (GPU pool, CPU pool, private
-     * cache tier, disk) to @p out — the same rows collectResult()
+     * cache tier, disk) to @p out — the same rows finishOnline()
      * reports at end of run, readable mid-run by the epoch sampler.
      * Pure observation: never steps the engine.
      */
@@ -489,10 +489,6 @@ class ServingEngine
   private:
     void validate() const;
     void preload();
-    /** Shared head of run() / beginOnline(): reset + preload. */
-    void beginRun();
-    /** Shared tail of run() / finishOnline(): metrics assembly. */
-    RunResult collectResult();
     /** Next request id in this engine's (possibly strided) id space. */
     RequestId allocRequestId();
     /**
@@ -523,6 +519,15 @@ class ServingEngine
      * @return true when a preemption was issued.
      */
     bool tryPreemptFor(const Request &req);
+    /**
+     * Execution cost of @p req's chain on executor @p i, per Section
+     * 4.2: K when @p joins a queued same-expert group, else K + B;
+     * plus the switch (predictLoadTime) and, for a classify request
+     * whose component chains a detector, the detect child's K + B.
+     * The ground truth stands in for the profiled matrix, exactly like
+     * the scheduler's fallback path.
+     */
+    Time chainCost(std::size_t i, const Request &req, bool joins) const;
     void dispatchTimed(const Request &req);
     ArchId archOf(ExpertId e) const;
     /** Fastest available source for loading @p e into GPU memory. */
@@ -582,7 +587,11 @@ class ServingEngine
     CheckpointModel ckpt_;
     /** Checkpointed groups awaiting cluster-level migration pickup. */
     std::vector<CheckpointImage> migrateOutbox_;
-    /** Buffered preemption decisions (online runs only; see preempt.h). */
+    /**
+     * Buffered preemption decisions (see preempt.h): a cluster
+     * coordinator drains them after every step; a lone run() leaves
+     * them.
+     */
     std::vector<PreemptEvent> preemptEvents_;
 
     double gpuPressure_ = 1.0;
@@ -592,14 +601,14 @@ class ServingEngine
     /** Dispatches seen; drives 1-in-16 scheduling-wall sampling. */
     std::uint64_t dispatchCount_ = 0;
     RequestId nextRequestId_ = 0;
-    /** Id increment; > 1 only for cluster-coordinated online runs. */
+    /** Id increment: a cluster's replica count, 1 for a lone run(). */
     RequestId requestIdStride_ = 1;
     std::int64_t imagesDone_ = 0;
     /** Arrivals dropped by admission (images + rejected == arrivals). */
     std::int64_t imagesRejected_ = 0;
     Time lastCompletion_ = 0;
+    /** True once beginOnline() ran. */
     bool ran_ = false;
-    bool online_ = false;
     /** True once crashDrain() ran (fault injection). */
     bool crashed_ = false;
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -150,27 +151,64 @@ TEST_F(ClusterFixture, RouterSelectionMatchesPolicyNames)
 
 TEST_F(ClusterFixture, SingleReplicaReproducesServingEngine)
 {
-    RunResult direct;
-    {
-        EngineConfig cfg = cfg_;
-        auto engine = makeCoServeEngine(ctx_, std::move(cfg));
-        direct = engine->run(trace_);
+    // A one-replica static cluster drives the same engine lifecycle as
+    // ServingEngine::run, so the replica's whole RunResult must match
+    // the lone engine's. Second input: arrivals in triples sharing one
+    // instant, one listed out of order, and a triple of one component
+    // landing exactly on the head's last batch completion, then
+    // stable-sorted (cluster runs take time-sorted traces).
+    Trace ties;
+    for (std::size_t i = 0; i < 30; ++i) {
+        ImageArrival a = trace_.arrivals[i];
+        a.time = milliseconds(4) * static_cast<Time>(i / 3);
+        ties.arrivals.push_back(a);
     }
+    const ImageArrival late = ties.arrivals[12];
+    ties.arrivals.erase(ties.arrivals.begin() + 12);
+    ties.arrivals.push_back(late);
+    const Time completion = makeCoServeEngine(ctx_, cfg_)->run(ties).makespan;
+    for (std::size_t i = 30; i < 35; ++i) {
+        ImageArrival a = trace_.arrivals[i];
+        a.time = completion + (i < 33 ? 0 : milliseconds(4));
+        if (i < 33)
+            a.component = trace_.arrivals[30].component;
+        ties.arrivals.push_back(a);
+    }
+    std::stable_sort(ties.arrivals.begin(), ties.arrivals.end(),
+                     [](const ImageArrival &x, const ImageArrival &y) {
+                         return x.time < y.time;
+                     });
 
-    for (RoutingPolicy policy :
-         {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
-          RoutingPolicy::ExpertAffinity}) {
-        ClusterEngine cluster(
-            homogeneousCluster(ctx_, cfg_, 1, policy));
-        const ClusterResult r = cluster.run(trace_, {});
+    for (const Trace *trace : {&trace_, &ties}) {
+        const RunResult direct = makeCoServeEngine(ctx_, cfg_)->run(*trace);
+        for (RoutingPolicy policy :
+             {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
+              RoutingPolicy::ExpertAffinity}) {
+            SCOPED_TRACE(std::string(toString(policy)) +
+                         (trace == &ties ? " / ties" : " / generated"));
+            ClusterEngine cluster(homogeneousCluster(ctx_, cfg_, 1, policy));
+            const ClusterResult r = cluster.run(*trace, {});
+            EXPECT_EQ(r.images, direct.images);
+            EXPECT_DOUBLE_EQ(r.throughput, direct.throughput);
+            ASSERT_EQ(r.replicas.size(), 1u);
 
-        EXPECT_EQ(r.images, direct.images);
-        EXPECT_EQ(r.inferences, direct.inferences);
-        EXPECT_EQ(r.makespan, direct.makespan);
-        EXPECT_DOUBLE_EQ(r.throughput, direct.throughput);
-        EXPECT_EQ(r.switches.total(), direct.switches.total());
-        ASSERT_EQ(r.replicas.size(), 1u);
-        EXPECT_EQ(r.replicas[0].images, direct.images);
+            const RunResult &rep = r.replicas[0];
+            EXPECT_EQ(rep.images, direct.images);
+            EXPECT_EQ(rep.inferences, direct.inferences);
+            EXPECT_EQ(rep.makespan, direct.makespan);
+            EXPECT_EQ(rep.eventsExecuted, direct.eventsExecuted);
+            EXPECT_EQ(rep.requestLatencyMs.raw(),
+                      direct.requestLatencyMs.raw());
+            EXPECT_EQ(rep.assignments, direct.assignments);
+            const SwitchCounters &a = rep.switches;
+            const SwitchCounters &b = direct.switches;
+            EXPECT_EQ(a.loadsFromSsd, b.loadsFromSsd);
+            EXPECT_EQ(a.loadsFromCache, b.loadsFromCache);
+            EXPECT_EQ(a.prefetchLoads, b.prefetchLoads);
+            EXPECT_EQ(a.evictions, b.evictions);
+            EXPECT_EQ(a.demotions, b.demotions);
+            EXPECT_EQ(a.bytesLoaded, b.bytesLoaded);
+        }
     }
 }
 
@@ -422,7 +460,6 @@ class GoldenFixture : public ClusterFixture
         cc.preemption.migration = migration;
         cc.preemption.migrationMinRemaining = milliseconds(10);
         if (migration) {
-            cc.onlineRouting = true;
             cc.workStealing.enabled = true;
             cc.workStealing.backlogThreshold = 2;
             cc.workStealing.minBacklog = milliseconds(20);
@@ -589,7 +626,6 @@ TEST_F(ClusterFixture, FaultInstantTieOrder)
     const auto config = [this](Time interval) {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, 3, RoutingPolicy::LeastLoaded);
-        cc.onlineRouting = true;
         cc.autoscale.enabled = true;
         cc.autoscale.interval = interval;
         cc.autoscale.minReplicas = 1;
@@ -600,11 +636,12 @@ TEST_F(ClusterFixture, FaultInstantTieOrder)
     Trace trace;
     trace.arrivals.push_back({0, /*component=*/0, false});
     ClusterEngine probe(config(seconds(1000)));
-    const Time t = probe.run(trace, {}).makespan;
+    const Time t =
+        probe.run(trace, runWithMode(RunMode::Online)).makespan;
     ASSERT_GT(t, 0);
 
     trace.arrivals.push_back({t, /*component=*/0, false});
-    RunOptions opts;
+    RunOptions opts = runWithMode(RunMode::Online);
     opts.faults.crashes.push_back({0, t});
     opts.recordPath = ::testing::TempDir() + "cluster_tie_order.log";
     ClusterEngine cluster(config(t));

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for online cluster scheduling (ClusterConfig::onlineRouting):
- * static routeTrace()/run() consistency, online-mode run-to-run
- * determinism, work-stealing counter reconciliation,
- * the least-loaded router's round-up parallelism division, and the
- * expert-affinity router's capability fallback on heterogeneous
- * clusters.
+ * Tests for online cluster scheduling (RunMode::Online): static
+ * routeTrace()/run() consistency, online-mode run-to-run determinism,
+ * work-stealing counter reconciliation, the least-loaded router's
+ * round-up parallelism division, the live Section-4.2 estimate that
+ * online routing and cluster admission share (liveEstimate,
+ * liveSwitchCost), and the expert-affinity router's capability
+ * fallback on heterogeneous clusters.
  */
 
 #include <gtest/gtest.h>
@@ -66,9 +67,6 @@ class OnlineClusterFixture : public ::testing::Test
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "online");
-        // The legacy mode switch: RunOptions{} (RunMode::Auto) must
-        // honor it, which this fixture's run(trace, {}) calls cover.
-        cc.onlineRouting = true;
         cc.workStealing.enabled = stealing;
         return cc;
     }
@@ -111,7 +109,8 @@ TEST_F(OnlineClusterFixture, StaticRunMatchesRouteTraceAssignment)
 TEST_F(OnlineClusterFixture, OnlineModeServesEveryImage)
 {
     ClusterEngine cluster(onlineConfig(4, /*stealing=*/false));
-    const ClusterResult r = cluster.run(trace_, {});
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, 400);
     EXPECT_GT(r.makespan, 0);
     EXPECT_EQ(r.stolenRequests, 0);
@@ -145,8 +144,10 @@ TEST_F(OnlineClusterFixture, OnlineModeDeterministicAcrossRuns)
             }
             ClusterEngine a(std::move(ca));
             ClusterEngine b(std::move(cb));
-            const ClusterResult ra = a.run(trace_, {});
-            const ClusterResult rb = b.run(trace_, {});
+            const ClusterResult ra =
+                a.run(trace_, runWithMode(RunMode::Online));
+            const ClusterResult rb =
+                b.run(trace_, runWithMode(RunMode::Online));
 
             // Equal decision digests subsume every aggregate check
             // below — kept anyway as the diagnostic breakdown.
@@ -276,6 +277,77 @@ TEST(ReplicaAdditionalLatencyTest, RoundsParallelismDivisionUp)
     EXPECT_EQ(replicaAdditionalLatency(0, 0, 4), 0);
     // Zero parallelism is clamped rather than dividing by zero.
     EXPECT_EQ(replicaAdditionalLatency(5, 0, 0), 5);
+}
+
+using LiveEstimateTest = OnlineClusterFixture;
+
+TEST_F(LiveEstimateTest, PricesJoinResidentAndColdPerSection42)
+{
+    const ReplicaView view{&ctx_, &cfg_};
+    const ExpertId e = model_.component(0).classifier;
+    const ArchId arch = model_.expert(e).arch;
+    ASSERT_TRUE(ctx_.perf().has(arch, ProcKind::GPU));
+    const PerfEntry &p = ctx_.perf().at(arch, ProcKind::GPU);
+    ASSERT_GT(p.b, 0);
+    ASSERT_GT(p.loadLatency, 0);
+
+    ReplicaLoadView live;
+    live.now = milliseconds(10);
+    live.gpuPressure = 1.5;
+    live.storageFreeAt = milliseconds(50);
+    live.executors = {{milliseconds(30), milliseconds(5)},
+                      {milliseconds(20), milliseconds(4)}};
+    live.expertFlags.assign(model_.numExperts(), 0);
+    const Time at = milliseconds(20);
+    // The second executor frees first: max(20, 20) + 4 ms.
+    const Time soonest = milliseconds(24);
+
+    // A queued same-expert group is joined: K, no switch.
+    live.expertFlags[static_cast<std::size_t>(e)] = ExpertPresence::kQueued;
+    LiveEstimate est = liveEstimate(view, ProcKind::GPU, live, e, at);
+    EXPECT_EQ(est.cost, p.k);
+    EXPECT_EQ(est.finish, soonest + p.k);
+
+    // Resident but not queued: a new group, K + B, still no switch.
+    live.expertFlags[static_cast<std::size_t>(e)] =
+        ExpertPresence::kResident;
+    est = liveEstimate(view, ProcKind::GPU, live, e, at);
+    EXPECT_EQ(est.cost, p.k + p.b);
+    EXPECT_EQ(est.finish, soonest + p.k + p.b);
+
+    // Cold: K + B plus the load inflated by the GPU pressure and the
+    // storage backlog past max(view.now, at).
+    live.expertFlags[static_cast<std::size_t>(e)] = 0;
+    const Time load =
+        static_cast<Time>(static_cast<double>(p.loadLatency) * 1.5);
+    const Time cold = load + (milliseconds(50) - at);
+    EXPECT_EQ(liveSwitchCost(view, arch, ProcKind::GPU, live, at), cold);
+    est = liveEstimate(view, ProcKind::GPU, live, e, at);
+    EXPECT_EQ(est.cost, p.k + p.b + cold);
+    EXPECT_EQ(est.finish, soonest + p.k + p.b + cold);
+    // A decision instant before the view's clock counts the backlog
+    // from the clock; one past the storage channel's free time adds none.
+    EXPECT_EQ(liveSwitchCost(view, arch, ProcKind::GPU, live,
+                             milliseconds(5)),
+              load + (milliseconds(50) - live.now));
+    EXPECT_EQ(liveSwitchCost(view, arch, ProcKind::GPU, live,
+                             milliseconds(60)),
+              load);
+
+    // No executors listed: the finish counts from the decision instant.
+    live.executors.clear();
+    est = liveEstimate(view, ProcKind::GPU, live, e, at);
+    EXPECT_EQ(est.finish, at + est.cost);
+
+    // An arch the replica's context never profiled costs no switch.
+    CoServeContext partialCtx(
+        device_, model_,
+        partialLatencyModel(device_, {ArchId::YoloV5m, ArchId::YoloV5l}),
+        {});
+    ASSERT_FALSE(partialCtx.perf().has(ArchId::ResNet101, ProcKind::GPU));
+    EXPECT_EQ(liveSwitchCost({&partialCtx, &cfg_}, ArchId::ResNet101,
+                             ProcKind::GPU, live, at),
+              0);
 }
 
 // ------------------------------------- affinity capability fallback

@@ -226,6 +226,15 @@ TEST_F(EngineFixture, EngineIsSingleUse)
                          std::make_unique<LruEviction>());
     engine.run(trace_);
     EXPECT_DEATH(engine.run(trace_), "single-use");
+    EXPECT_DEATH(engine.beginOnline(0, 1), "single-use");
+
+    // Every run starts with beginOnline(); run() itself does.
+    ServingEngine fresh(smallConfig(1, 800), model_, truth_, footprint_,
+                        usage_, std::make_unique<FcfsSingleScheduler>(),
+                        std::make_unique<LruEviction>());
+    EXPECT_DEATH(fresh.admitArrival(trace_.arrivals.front()),
+                 "admitArrival before beginOnline");
+    EXPECT_DEATH(fresh.finishOnline(), "finishOnline before beginOnline");
 }
 
 TEST_F(EngineFixture, DependencyAwareBeatsFcfsUnderPressure)
@@ -371,8 +380,8 @@ TEST_F(ArrivalOrderFixture, OnlineSingleReplicaKeepsTieOrder)
                      });
     ClusterConfig cc = homogeneousCluster(
         ctx_, cfg_, 1, RoutingPolicy::LeastLoaded, "arrival-order");
-    cc.onlineRouting = true;
-    const ClusterResult r = ClusterEngine(std::move(cc)).run(sorted, {});
+    const ClusterResult r = ClusterEngine(std::move(cc))
+                                .run(sorted, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, 35);
     EXPECT_EQ(r.makespan, 3127407488);
     EXPECT_EQ(r.switches.total(), 11);

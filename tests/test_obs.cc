@@ -656,7 +656,6 @@ class ObsFixture : public ::testing::Test
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "obs");
-        cc.onlineRouting = true;
         cc.preemption.enabled = true;
         cc.preemption.minRunQuantum = milliseconds(5);
         cc.preemption.migration = migration;

@@ -116,7 +116,6 @@ class PreemptFixture : public ::testing::Test
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "preempt");
-        cc.onlineRouting = true;
         cc.preemption.enabled = true;
         cc.preemption.minRunQuantum = milliseconds(5);
         cc.preemption.migration = migration;
@@ -149,7 +148,6 @@ TEST_F(PreemptFixture, ValidateCoversPreemptionKnobs)
 {
     ClusterConfig cc = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
-    cc.onlineRouting = true;
     cc.preemption.enabled = true;
     cc.preemption.minRunQuantum = 0;
     cc.preemption.maxPreemptionsPerGroup = 0;
@@ -161,7 +159,6 @@ TEST_F(PreemptFixture, ValidateCoversPreemptionKnobs)
     // Migration without the master switch is refused.
     ClusterConfig solo = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
-    solo.onlineRouting = true;
     solo.preemption.migration = true;
     EXPECT_FALSE(solo.validate(runWithMode(RunMode::Online)).empty());
 

@@ -352,7 +352,7 @@ TEST_F(ReplayFixture, StaticModeSupportsFaultsWithPinnedRouting)
         homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
     const ClusterResult base = clean.run(trace_, {});
 
-    RunOptions opts; // RunMode::Auto resolves static
+    RunOptions opts; // static by default
     opts.faults.crashes.push_back({2, at(100)});
     ClusterEngine cluster(
         homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));

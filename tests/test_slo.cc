@@ -825,7 +825,6 @@ class SloClusterFixture : public SloServingFixture
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, 4, RoutingPolicy::LeastLoaded, "slo-cluster");
-        cc.onlineRouting = true;
         cc.workStealing.enabled = true;
         cc.admission.enabled = true;
         if (autoscale) {
@@ -843,8 +842,8 @@ TEST_F(SloClusterFixture, OnlineSloServingReconcilesAndIsDeterministic)
     for (bool autoscale : {false, true}) {
         ClusterEngine a(onlineConfig(autoscale));
         ClusterEngine b(onlineConfig(autoscale));
-        const ClusterResult ra = a.run(trace_, {});
-        const ClusterResult rb = b.run(trace_, {});
+        const ClusterResult ra = a.run(trace_, runWithMode(RunMode::Online));
+        const ClusterResult rb = b.run(trace_, runWithMode(RunMode::Online));
 
         // The decision stream (routes + admission verdicts + scale
         // actions) must match before any aggregate does.
@@ -899,14 +898,14 @@ TEST_F(SloClusterFixture, AutoscaleStartupCoversHeterogeneousCluster)
     ClusterConfig cc = heterogeneousCluster(
         {{&partialCtx, cfg_}, {&ctx_, cfg_}},
         RoutingPolicy::LeastLoaded, "hetero-scale");
-    cc.onlineRouting = true;
     cc.autoscale.enabled = true;
     cc.autoscale.interval = milliseconds(500);
     cc.autoscale.minReplicas = 1;
     cc.autoscale.startReplicas = 1; // replica 0 alone cannot serve
 
     ClusterEngine cluster(std::move(cc));
-    const ClusterResult r = cluster.run(trace_, {});
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
 }
 
@@ -917,7 +916,6 @@ TEST_F(SloClusterFixture, QuiesceEvacuatesQueuedWork)
     // the evacuated counter is unambiguous.
     ClusterConfig cc = homogeneousCluster(
         ctx_, cfg_, 4, RoutingPolicy::LeastLoaded, "evac");
-    cc.onlineRouting = true;
     cc.autoscale.enabled = true;
     cc.autoscale.interval = milliseconds(250);
     cc.autoscale.cooldown = milliseconds(250);
@@ -929,7 +927,8 @@ TEST_F(SloClusterFixture, QuiesceEvacuatesQueuedWork)
     cc.autoscale.violationHigh = 2.0; // never scale up
 
     ClusterEngine cluster(std::move(cc));
-    const ClusterResult r = cluster.run(trace_, {});
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
     EXPECT_EQ(r.autoscaleQuiesces, 3); // down to minReplicas
     EXPECT_GT(r.autoscaleEvacuated, 0);
